@@ -1,7 +1,9 @@
-// Serial-vs-N-thread throughput of the parallel subsystem: sharded closure
-// and convergence sweeps on the token-ring and diffusing designs, and
-// campaign trial throughput. The thread count is the benchmark argument,
-// so `--benchmark_filter=Sweep` prints a direct scaling table.
+// Serial-vs-N-thread throughput of the parallel subsystem: the dense
+// backend's chunked closure, convergence and fault-span passes (through
+// the store facade) on the token-ring and diffusing designs, and campaign
+// trial throughput. The thread count is the benchmark argument, so
+// `--benchmark_filter=Sweep` prints a direct scaling table; at 1 thread the
+// facade runs the serial reference checkers.
 #include <benchmark/benchmark.h>
 
 #include "bench_report.hpp"
@@ -9,18 +11,20 @@
 #include "checker/state_space.hpp"
 #include "engine/experiment.hpp"
 #include "parallel/campaign.hpp"
-#include "parallel/sweep.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/token_ring.hpp"
+#include "store/facade.hpp"
 
 using namespace nonmask;
 
 namespace {
 
-SweepOptions sweep_opts(std::int64_t threads) {
-  SweepOptions opts;
-  opts.threads = static_cast<unsigned>(threads);
-  return opts;
+store::StoreConfig dense_config(std::int64_t threads) {
+  store::StoreConfig cfg;
+  cfg.backend = store::StoreBackend::kLegacyDense;
+  cfg.threads = static_cast<unsigned>(threads);
+  cfg.grain = 1 << 14;  // several chunks even on the 6^6 ring
+  return cfg;
 }
 
 void BM_SweepClosureTokenRing(benchmark::State& state) {
@@ -29,7 +33,8 @@ void BM_SweepClosureTokenRing(benchmark::State& state) {
   const auto S = tr.design.S();
   std::uint64_t states = 0;
   for (auto _ : state) {
-    const auto report = check_closed_parallel(space, S, sweep_opts(state.range(0)));
+    const auto report =
+        store::check_closed_via(dense_config(state.range(0)), space, S);
     benchmark::DoNotOptimize(report.closed);
     states += space.size();
   }
@@ -44,7 +49,8 @@ void BM_SweepClosureDiffusing(benchmark::State& state) {
   const auto S = dd.design.S();
   std::uint64_t states = 0;
   for (auto _ : state) {
-    const auto report = check_closed_parallel(space, S, sweep_opts(state.range(0)));
+    const auto report =
+        store::check_closed_via(dense_config(state.range(0)), space, S);
     benchmark::DoNotOptimize(report.closed);
     states += space.size();
   }
@@ -61,7 +67,7 @@ void BM_SweepConvergenceTokenRing(benchmark::State& state) {
   std::uint64_t transitions = 0;
   for (auto _ : state) {
     const auto report =
-        check_convergence_parallel(space, S, T, sweep_opts(state.range(0)));
+        store::check_convergence_via(dense_config(state.range(0)), space, S, T);
     benchmark::DoNotOptimize(report.verdict);
     transitions += report.transitions;
   }
@@ -75,8 +81,8 @@ void BM_SweepFaultSpanDiffusing(benchmark::State& state) {
   StateSpace space(dd.design.program);
   const auto S = dd.design.S();
   for (auto _ : state) {
-    const auto span =
-        compute_fault_span_parallel(space, S, {}, {}, sweep_opts(state.range(0)));
+    const auto span = store::compute_fault_span_via(
+        dense_config(state.range(0)), space, S, {});
     benchmark::DoNotOptimize(span.size());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));

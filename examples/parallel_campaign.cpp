@@ -205,6 +205,8 @@ int main(int argc, char** argv) {
             << " trials, seed " << config.seed << ", " << threads
             << " thread(s)\n";
 
+  // Built at run start, so its wall_ms covers the whole run.
+  obs::RunReport report("parallel_campaign", design.name);
   const auto results = run_campaign(design, config, opts);
   if (opts.resume) {
     std::cout << "resumed: " << results.resumed_trials
@@ -254,7 +256,6 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << report_out << " for writing\n";
       return 2;
     }
-    obs::RunReport report("parallel_campaign", design.name);
     report.add_number("trials", std::uint64_t{config.trials});
     report.add_number("seed", config.seed);
     // Record the store configuration active for this run, so a report is

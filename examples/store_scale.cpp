@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "checker/state_space.hpp"
@@ -97,6 +98,10 @@ int main(int argc, char** argv) {
   }
 
   const auto tr = make_dijkstra_ring(n, k);
+  // Built at run start, so its wall_ms covers the whole run (and only when
+  // requested, so an unreported run's heap is unchanged).
+  std::optional<obs::RunReport> doc;
+  if (!report_out.empty()) doc.emplace("store_scale", tr.design.name);
   const auto count = tr.design.program.state_count();
   if (!count || *count > cfg.budget) {
     std::cerr << "K^N = " << (count ? std::to_string(*count) : "overflow")
@@ -149,22 +154,23 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << report_out << " for writing\n";
       return 2;
     }
-    obs::RunReport doc("store_scale", tr.design.name);
-    doc.add_text("backend", store::to_string(cfg.backend));
-    if (fallback) doc.add_text("backend_fallback_reason", *fallback);
-    doc.add_text("mode", weakly_fair ? "weakly_fair" : "unfair");
-    doc.add_number("state_budget", cfg.budget);
-    doc.add_number("states", space.size());
+    doc->add_text("backend", store::to_string(cfg.backend));
+    if (fallback) doc->add_text("backend_fallback_reason", *fallback);
+    doc->add_text("mode", weakly_fair ? "weakly_fair" : "unfair");
+    doc->add_number("state_budget", cfg.budget);
+    doc->add_number("states", space.size());
     // The ¬S region the convergence traversal actually pushes — the number
     // a telemetry heartbeat's cumulative states counter converges to.
-    doc.add_number("region_states", report.region_states);
-    doc.add_number("elapsed_s", secs);
-    doc.add_number("states_per_sec", rate);
-    doc.add_number("peak_rss_mb", obs::peak_rss_mb());
-    doc.add_text("verdict", to_string(report.verdict));
-    if (!weakly_fair) doc.add_number("max_steps_to_S", report.max_steps_to_S);
-    doc.add_number("transitions", report.transitions);
-    doc.write(out);
+    doc->add_number("region_states", report.region_states);
+    doc->add_number("elapsed_s", secs);
+    doc->add_number("states_per_sec", rate);
+    doc->add_number("peak_rss_mb", obs::peak_rss_mb());
+    doc->add_text("verdict", to_string(report.verdict));
+    if (!weakly_fair) {
+      doc->add_number("max_steps_to_S", report.max_steps_to_S);
+    }
+    doc->add_number("transitions", report.transitions);
+    doc->write(out);
     std::cout << "report written to " << report_out << "\n";
   }
 

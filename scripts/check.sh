@@ -142,7 +142,8 @@ echo "ok: weakly-fair verdicts byte-identical across backends and 1/2/8 threads"
 # Telemetry + dashboard smoke: a weakly-fair store run with the heartbeat
 # sampler on must write parseable JSONL whose final cumulative states count
 # equals the report's region_states (the accounting identity behind the
-# dashboard), and the dashboard must be one self-contained HTML file.
+# dashboard), the report's wall_ms must cover the timed check, and the
+# dashboard must be one self-contained HTML file.
 echo "== telemetry dashboard smoke =="
 NONMASK_TELEMETRY="${store_dir}/heartbeats.jsonl" NONMASK_TELEMETRY_MS=10 \
   ./build/examples/store_scale 6 8 --weakly-fair --backend=store --threads=4 \
@@ -159,6 +160,8 @@ report = json.load(open(f"{d}/scale_report.json"))
 final = beats[-1]["states"]
 assert final == report["region_states"], \
     f"final heartbeat {final} != report region_states {report['region_states']}"
+assert report["wall_ms"] >= 1000 * report["elapsed_s"], \
+    f"wall_ms {report['wall_ms']} < elapsed_s {report['elapsed_s']} s"
 html = open(f"{d}/dashboard.html").read()
 assert "<svg" in html and "<!DOCTYPE html>" in html
 for banned in ("http://", "https://", "src=", "<link", "@import"):

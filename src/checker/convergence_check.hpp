@@ -97,8 +97,9 @@ ToleranceClass classify_tolerance(const StateSpace& space,
 /// Successor provider for the convergence analyses: fills `out` with the
 /// sorted distinct successor codes of `code` under the non-fault actions.
 /// An empty result means no action is enabled (deadlock). Implementations:
-/// ProgramSuccessors (on-the-fly, serial) and the parallel sweep's
-/// precomputed adjacency (parallel/sweep.hpp).
+/// ProgramSuccessors (on the fly; the serial checker and the store backend)
+/// and the dense backend's precomputed CSR adjacency
+/// (store/store_check.cpp).
 class SuccessorSource {
  public:
   virtual ~SuccessorSource() = default;
@@ -122,34 +123,13 @@ class ProgramSuccessors final : public SuccessorSource {
 
 namespace detail {
 
+/// S/T flag bits per code, as pass 1 of every convergence check records
+/// them for the DFS/SCC cores (checker/convergence_core.hpp, scc_core.hpp).
 inline constexpr std::uint8_t kFlagS = 1;  ///< state satisfies S
 inline constexpr std::uint8_t kFlagT = 2;  ///< state satisfies T
 
-/// Pass 1 of both convergence checks: the S/T flag byte per code plus the
-/// states_in_S / states_in_T counts filled into `report`. The parallel
-/// sweep produces the identical array with sharded evaluation.
-std::vector<std::uint8_t> evaluate_flags(const StateSpace& space,
-                                         const PredicateFn& S,
-                                         const PredicateFn& T,
-                                         ConvergenceReport& report);
-
-/// Pass 2 of the unfair check: cycle/deadlock DFS over the ¬S region
-/// reachable from T∧¬S, consuming successors from `succ`. `report` carries
-/// the pass-1 counts and is completed in place.
-ConvergenceReport check_convergence_core(const StateSpace& space,
-                                         const std::vector<std::uint8_t>& flags,
-                                         SuccessorSource& succ,
-                                         ConvergenceReport report);
-
-/// Pass 2 of the weakly fair check: Tarjan SCC construction consuming
-/// `succ`, then the serial fair-escape analysis over `actions`.
-ConvergenceReport check_convergence_weakly_fair_core(
-    const StateSpace& space, const std::vector<std::uint8_t>& flags,
-    SuccessorSource& succ, const std::vector<std::size_t>& actions,
-    ConvergenceReport report);
-
 /// Bump the checker.convergence.* counters from a finished report (called
-/// by both cores, so the serial checks and the parallel sweeps share it).
+/// by both cores, so the serial checks and the store pipeline share it).
 void record_convergence_metrics(const ConvergenceReport& report);
 
 }  // namespace detail

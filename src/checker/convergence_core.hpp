@@ -2,8 +2,9 @@
 // factored as a template over its per-state bookkeeping so one traversal
 // serves two memory layouts:
 //
-//   - the legacy dense path (convergence_check.cpp): byte color, u32 dist,
-//     i64 stack-position vectors sized by the full code range;
+//   - the dense path (DenseDfsBookkeeping below; the serial checker and
+//     the dense backend's parallel run): byte color, u32 dist, i64
+//     stack-position vectors sized by the full code range;
 //   - the store path (store/store_check.cpp): 2-bit colors, narrow
 //     distance arrays, and a sparse map for the on-stack positions — the
 //     layout that lifts exhaustive checking from ~32M to 10^8+ states.
@@ -32,6 +33,29 @@
 #include "obs/span.hpp"
 
 namespace nonmask::detail {
+
+/// Dense bookkeeping: one vector slot per code over the full range. This is
+/// the memory layout that caps the dense backend at ~32M states; the store
+/// backend instantiates the same core over packed arrays.
+struct DenseDfsBookkeeping {
+  explicit DenseDfsBookkeeping(std::uint64_t size)
+      : color_(size, 0), dist_(size, 0), stack_pos_(size, -1) {}
+
+  std::uint8_t color(std::uint64_t code) const { return color_[code]; }
+  void set_color(std::uint64_t code, std::uint8_t c) { color_[code] = c; }
+  std::uint32_t dist(std::uint64_t code) const { return dist_[code]; }
+  void set_dist(std::uint64_t code, std::uint32_t d) { dist_[code] = d; }
+  std::int64_t stack_pos(std::uint64_t code) const {
+    return stack_pos_[code];
+  }
+  void set_stack_pos(std::uint64_t code, std::int64_t pos) {
+    stack_pos_[code] = pos;
+  }
+
+  std::vector<std::uint8_t> color_;
+  std::vector<std::uint32_t> dist_;
+  std::vector<std::int64_t> stack_pos_;
+};
 
 template <class Flags, class Bookkeeping>
 ConvergenceReport check_convergence_core_impl(const StateSpace& space,

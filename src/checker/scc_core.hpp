@@ -2,9 +2,10 @@
 // template over its per-state bookkeeping — the same split that
 // convergence_core.hpp gives the unfair DFS:
 //
-//   - the legacy dense path (convergence_check.cpp): int32 index/lowlink,
-//     byte on-stack marks, and an int32 component array, all sized by the
-//     full code range (~13 bytes/state);
+//   - the dense path (DenseTarjanBookkeeping below; the serial checker and
+//     the dense backend's parallel run): int32 index/lowlink, byte on-stack
+//     marks, and an int32 component array, all sized by the full code
+//     range (~13 bytes/state);
 //   - the store path (store/store_check.cpp): a stamped u32 visit-index
 //     array over the codes, slab-grown u32 lowlinks indexed by dense visit
 //     id, 1-bit on-stack marks, and sorted member snapshots for the
@@ -34,9 +35,9 @@
 
 namespace nonmask::detail {
 
-/// Legacy dense Tarjan bookkeeping: one array slot per code over the full
-/// range. This is the memory layout that keeps the legacy backend at ~32M
-/// states; the store backend instantiates the same core over packed and
+/// Dense Tarjan bookkeeping: one array slot per code over the full range.
+/// This is the memory layout that keeps the dense backend at ~32M states;
+/// the store backend instantiates the same core over packed and
 /// visit-ordered arrays.
 struct DenseTarjanBookkeeping {
   static constexpr std::int32_t kUnvisited = -1;

@@ -6,8 +6,9 @@
 // order. Which worker executes a chunk (and when) is nondeterministic, but
 // callers index their result slots by *chunk number*, so any reduction
 // performed in chunk order is independent of the thread count and of
-// scheduling. All determinism guarantees in parallel/sweep.hpp and
-// parallel/campaign.hpp rest on this.
+// scheduling. The determinism guarantees of the store pipeline
+// (store/store_check.hpp, store/frontier.hpp) and of parallel/campaign.hpp
+// rest on this.
 #pragma once
 
 #include <condition_variable>
@@ -20,7 +21,7 @@
 
 namespace nonmask {
 
-/// Worker count used when a pool or sweep is asked for "auto" (0) threads:
+/// Worker count used when a pool is asked for "auto" (0) threads:
 /// the NONMASK_THREADS environment variable when set to an integer >= 1,
 /// else std::thread::hardware_concurrency(), else 1.
 unsigned default_threads();

@@ -1,12 +1,13 @@
 // Configuration switch for the compact parallel state store.
 //
-// Every checker entry point that the store subsystem re-implements is
-// dispatched through a StoreConfig: `backend` selects between the legacy
-// dense-array path (src/checker/, per-state bookkeeping sized by the full
-// code range) and the store path (src/store/, packed bitmaps + interned
-// frontiers). The two backends are contractually byte-identical on every
-// report they produce — the store backend exists to lift the *state budget*
-// (from ~32M to 10^8-10^9 states), not to change any answer.
+// Every checker entry point is dispatched through a StoreConfig (see
+// store/facade.hpp): `backend` selects the convergence successor source
+// and bookkeeping of the one parallel pipeline — the dense backend's
+// precomputed adjacency and per-code arrays sized by the full code range,
+// or the store backend's on-the-fly successors and packed bitmaps. The two
+// backends are contractually byte-identical on every report they produce —
+// the store backend exists to lift the *state budget* (from ~32M to
+// 10^8-10^9 states), not to change any answer.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,8 @@
 namespace nonmask::store {
 
 enum class StoreBackend {
-  kLegacyDense,  ///< src/checker/ dense arrays (the seed implementation)
-  kStore,        ///< src/store/ packed bitmaps + frontier engine
+  kLegacyDense,  ///< dense per-code arrays + precomputed adjacency
+  kStore,        ///< packed bitmaps + on-the-fly successors
 };
 
 const char* to_string(StoreBackend b) noexcept;
@@ -29,11 +30,13 @@ struct StoreConfig {
   /// routinely run two to three orders of magnitude higher.
   std::uint64_t budget = 32'000'000;
 
-  /// Worker threads for the store sweeps; 0 = NONMASK_THREADS env, else
-  /// hardware concurrency (same resolution as the parallel sweeps).
+  /// Worker threads for the parallel pipeline; 0 = NONMASK_THREADS env,
+  /// else hardware concurrency. The dense backend runs the serial
+  /// reference checkers when this resolves to 1.
   unsigned threads = 0;
 
-  /// Codes per scan chunk. Results never depend on it.
+  /// Codes per scan chunk. Results never depend on it; the dense backend
+  /// runs the serial reference checkers on spaces of at most one chunk.
   std::uint64_t grain = 1 << 16;
 
   /// log2 of the concurrent-set shard count (power-of-two shards).

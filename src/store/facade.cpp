@@ -1,54 +1,35 @@
 #include "store/facade.hpp"
 
-#include <algorithm>
-
 #include "core/candidate.hpp"
-#include "parallel/sweep.hpp"
+#include "parallel/thread_pool.hpp"
 #include "store/store_check.hpp"
 
 namespace nonmask::store {
 
 namespace {
 
-SweepOptions sweep_options(const StoreConfig& config) {
-  SweepOptions opts;
-  opts.threads = config.threads;
-  opts.grain = config.grain;
-  return opts;
+/// The dense backend hands runs at one resolved thread, and spaces that fit
+/// in one grain, to the serial reference checkers — which create no thread
+/// pool, so synthesis can call verify_tolerance_via per candidate from
+/// inside pool workers.
+bool runs_serial_reference(const StoreConfig& config,
+                           const StateSpace& space) {
+  if (config.backend != StoreBackend::kLegacyDense) return false;
+  const unsigned threads =
+      config.threads == 0 ? default_threads() : config.threads;
+  return threads <= 1 || space.size() <= config.grain;
 }
 
 }  // namespace
-
-StoreBackedSuccessors::StoreBackedSuccessors(const StateSpace& space,
-                                             std::vector<std::size_t> actions)
-    : space_(&space),
-      actions_(std::move(actions)),
-      scratch_(space.program().num_variables()) {}
-
-void StoreBackedSuccessors::successors(std::uint64_t code,
-                                       std::vector<std::uint64_t>& out) {
-  const Program& p = space_->program();
-  out.clear();
-  space_->decode_into(code, scratch_);
-  for (std::size_t idx : actions_) {
-    const Action& a = p.action(idx);
-    if (!a.enabled(scratch_)) continue;
-    out.push_back(space_->encode(a.apply(scratch_)));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  ++expansions_;
-}
 
 ClosureReport check_closed_via(const StoreConfig& config,
                                const StateSpace& space,
                                const PredicateFn& predicate,
                                const std::vector<std::size_t>& actions) {
-  if (config.backend == StoreBackend::kStore) {
-    return check_closed_store(space, predicate, actions, config);
+  if (runs_serial_reference(config, space)) {
+    return check_closed(space, predicate, actions);
   }
-  return check_closed_parallel(space, predicate, actions,
-                               sweep_options(config));
+  return check_closed_store(space, predicate, actions, config);
 }
 
 ClosureReport check_closed_via(const StoreConfig& config,
@@ -62,22 +43,24 @@ ConvergenceReport check_convergence_via(const StoreConfig& config,
                                         const StateSpace& space,
                                         const PredicateFn& S,
                                         const PredicateFn& T) {
-  if (config.backend == StoreBackend::kStore) {
-    return check_convergence_store(space, S, T, config);
+  if (runs_serial_reference(config, space)) {
+    return check_convergence(space, S, T);
   }
-  return check_convergence_parallel(space, S, T, sweep_options(config));
+  return check_convergence_store(space, S, T, config);
 }
 
 ConvergenceReport check_convergence_weakly_fair_via(const StoreConfig& config,
                                                     const StateSpace& space,
                                                     const PredicateFn& S,
                                                     const PredicateFn& T) {
-  if (config.backend == StoreBackend::kStore &&
-      !backend_fallback_reason(config, space)) {
-    return check_convergence_weakly_fair_store(space, S, T, config);
+  StoreConfig effective = config;
+  if (backend_fallback_reason(config, space)) {
+    effective.backend = StoreBackend::kLegacyDense;
   }
-  return check_convergence_weakly_fair_parallel(space, S, T,
-                                                sweep_options(config));
+  if (runs_serial_reference(effective, space)) {
+    return check_convergence_weakly_fair(space, S, T);
+  }
+  return check_convergence_weakly_fair_store(space, S, T, effective);
 }
 
 std::optional<VariantFunction> compute_variant_via(const StoreConfig& config,
@@ -115,11 +98,10 @@ StateSet compute_reachable_via(const StoreConfig& config,
                                const PredicateFn& start,
                                const std::vector<std::size_t>& actions,
                                const FaultSpanOptions& opts) {
-  if (config.backend == StoreBackend::kStore) {
-    return compute_reachable_store(space, start, actions, config, opts);
+  if (runs_serial_reference(config, space)) {
+    return compute_reachable(space, start, actions, opts);
   }
-  return compute_reachable_parallel(space, start, actions, opts,
-                                    sweep_options(config));
+  return compute_reachable_store(space, start, actions, config, opts);
 }
 
 StateSet compute_fault_span_via(const StoreConfig& config,

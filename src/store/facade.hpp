@@ -1,19 +1,26 @@
 // Backend-dispatch facade: every verification entry point in one place,
 // switched by StoreConfig::backend.
 //
-//   kLegacyDense — the original dense-array checkers (serial, or the
-//     parallel sweep when threads allow); memory O(bytes per state), the
+// There is one serial reference checker (src/checker/) and one parallel
+// pipeline (store_check.hpp, frontier.hpp); the backends differ only in
+// the pipeline's convergence successor source and bookkeeping:
+//
+//   kLegacyDense — a precomputed CSR adjacency and dense per-code arrays;
+//     memory O(bytes per state), fastest at nproc threads, the
 //     configuration every result before the store existed was produced
-//     with.
-//   kStore       — the compact store pipeline (store_check.hpp /
-//     frontier.hpp); bits per state, viable at 10^8 codes.
+//     with. Runs at one resolved thread, or over a space that fits in one
+//     grain, call the serial reference checkers directly and create no
+//     thread pool.
+//   kStore       — on-the-fly successors and packed bookkeeping; bits per
+//     state, viable at 10^8 codes.
 //
 // The two backends are contractually byte-identical: same report structs,
 // same counts, same counterexamples, at any thread count. scripts/check.sh
-// and CI diff them on every protocol in the suite. Callers (examples,
-// resilience, synthesis) go through *_via and never pick a backend
-// themselves — NONMASK_STORE_BACKEND / NONMASK_STATE_BUDGET select it at
-// run time via StoreConfig::from_env().
+// and CI diff them on every protocol in the suite, and
+// tests/store_equivalence_test.cpp checks both against the serial
+// reference. Callers (examples, resilience, synthesis) go through *_via
+// and never pick a backend themselves — NONMASK_STORE_BACKEND /
+// NONMASK_STATE_BUDGET select it at run time via StoreConfig::from_env().
 //
 // Every checker path — closure, convergence (unfair and weakly-fair SCC),
 // reachability/fault-span, and variant extraction — runs store-native
@@ -36,26 +43,9 @@
 
 namespace nonmask::store {
 
-/// The SuccessorSource every store-backed traversal uses: semantics
-/// identical to ProgramSuccessors (sorted distinct successor codes under
-/// the given actions), plus an expansion counter for throughput reporting.
-class StoreBackedSuccessors final : public SuccessorSource {
- public:
-  StoreBackedSuccessors(const StateSpace& space,
-                        std::vector<std::size_t> actions);
-
-  void successors(std::uint64_t code,
-                  std::vector<std::uint64_t>& out) override;
-
-  /// States expanded so far (one per successors() call).
-  std::uint64_t expansions() const noexcept { return expansions_; }
-
- private:
-  const StateSpace* space_;
-  std::vector<std::size_t> actions_;
-  State scratch_;
-  std::uint64_t expansions_ = 0;
-};
+/// The on-the-fly successor source of the store traversals; an alias kept
+/// so callers can keep naming it from the store namespace.
+using StoreBackedSuccessors = ProgramSuccessors;
 
 ClosureReport check_closed_via(const StoreConfig& config,
                                const StateSpace& space,
@@ -77,7 +67,8 @@ ConvergenceReport check_convergence_weakly_fair_via(const StoreConfig& config,
                                                     const PredicateFn& T);
 
 /// compute_variant through the selected backend (store-native single
-/// traversal under kStore; the legacy double traversal otherwise).
+/// traversal under kStore; the serial reference's double traversal
+/// otherwise).
 std::optional<VariantFunction> compute_variant_via(const StoreConfig& config,
                                                    const StateSpace& space,
                                                    const PredicateFn& S);

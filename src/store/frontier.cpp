@@ -34,6 +34,12 @@ std::string spill_directory(const std::string& configured) {
 
 }  // namespace
 
+obs::Histogram& sweep_chunk_histogram() {
+  static obs::Histogram& hist =
+      obs::Registry::instance().histogram("sweep.chunk_us");
+  return hist;
+}
+
 SpillableFrontier::SpillableFrontier(std::uint64_t threshold,
                                      const std::string& dir)
     : threshold_(threshold), dir_(spill_directory(dir)) {}
@@ -176,6 +182,7 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
         [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
             unsigned worker) {
           (void)worker;
+          obs::Span chunk_span("sweep.reach.seed", &sweep_chunk_histogram());
           OdometerCursor cur(space, lo);
           auto& out = seed_chunks[chunk];
           for (std::uint64_t code = lo; code < hi; ++code) {
@@ -191,13 +198,13 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
     }
   }
 
-  // Level-synchronous BFS with the sweep's merge-in-pop-order contract
-  // (parallel/sweep.cpp): per-node successor lists depend only on the node,
-  // and the serial merge replays the serial BFS's insertion sequence and
-  // max_states truncation. Expansion additionally drops successors that
-  // were already in `set` when the level started — the merge would skip
-  // them anyway, so the result is unchanged but the per-level buffers stay
-  // proportional to the *new* states, not the total degree.
+  // Level-synchronous BFS, merged in pop order: per-node successor lists
+  // depend only on the node, and the serial merge replays the serial BFS's
+  // insertion sequence and max_states truncation. Expansion drops
+  // successors that were already in `set` when the level started — the
+  // merge would skip them anyway, so the result is unchanged but the
+  // per-level buffers stay proportional to the *new* states, not the total
+  // degree.
   struct NodeSuccs {
     std::vector<std::uint32_t> degree;  // kept successors per node
     std::vector<std::uint64_t> data;    // concatenated, in expansion order
@@ -219,6 +226,7 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
         pool_, 0, fsize, level_grain,
         [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
             unsigned worker) {
+          obs::Span chunk_span("sweep.reach.chunk", &sweep_chunk_histogram());
           NodeSuccs& out = level[chunk];
           std::vector<std::uint64_t> codes;
           frontier->read(lo, hi, codes);

@@ -1,16 +1,15 @@
 // Chunked parallel frontier engine.
 //
-// Forward mode (`reachable`) is the store backend for fault-span /
-// reachability: a level-synchronous BFS whose frontier chunks are consumed
-// from the thread pool's shared queue (idle workers steal the next chunk),
-// each worker expanding into its own output buffer, with the buffers merged
-// serially in chunk order. The merge replays the serial BFS's insertion
-// sequence exactly — same StateSet, same max_states truncation — which is
-// the determinism contract the legacy parallel sweep established
-// (parallel/sweep.hpp); the engine adds a visited pre-filter (safe: it only
-// drops successors the merge would skip anyway) and an optional disk spill
-// so frontiers larger than RAM stream through a temp file instead of
-// failing.
+// Forward mode (`reachable`) is the parallel fault-span / reachability
+// pass of both backends: a level-synchronous BFS whose frontier chunks are
+// consumed from the thread pool's shared queue (idle workers steal the next
+// chunk), each worker expanding into its own output buffer, with the
+// buffers merged serially in chunk order. Per-node successor lists depend
+// only on the node, so the merge replays the serial BFS's insertion
+// sequence exactly — same StateSet, same max_states truncation. A visited
+// pre-filter (safe: it only drops successors the merge would skip anyway)
+// keeps the buffers small, and an optional disk spill streams frontiers
+// larger than RAM through a temp file instead of failing.
 //
 // Backward mode (`backward_distances`) computes min-steps-to-target for
 // every code without materializing a predecessor graph: each round scans
@@ -27,11 +26,17 @@
 
 #include "checker/fault_span.hpp"
 #include "checker/state_space.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "store/bitset.hpp"
 #include "store/config.hpp"
 
 namespace nonmask::store {
+
+/// Duration histogram (microseconds, "sweep.chunk_us") fed by the
+/// "sweep.*.chunk" spans of every chunk loop in the store pipeline, so
+/// chunk-size tuning shows up in the metrics snapshot.
+obs::Histogram& sweep_chunk_histogram();
 
 /// A code buffer that transparently spills to a temp file past a
 /// threshold. Append happens serially (during the merge phase); ranged

@@ -12,7 +12,6 @@
 #include "obs/span.hpp"
 #include "parallel/thread_pool.hpp"
 #include "store/bitset.hpp"
-#include "store/facade.hpp"
 #include "store/frontier.hpp"
 #include "store/odometer.hpp"
 
@@ -30,9 +29,9 @@ std::uint64_t aligned_grain(const StoreConfig& config) {
   return (std::max<std::uint64_t>(config.grain, 32) + 31) & ~std::uint64_t{31};
 }
 
-/// scan_closure_range with the decode replaced by an odometer ripple;
-/// counts, early exit, and the violation triple are exactly the serial
-/// scan's.
+/// The serial closure slice scan (checker/closure_check.cpp) with the
+/// decode replaced by an odometer ripple; counts, early exit, and the
+/// violation triple are exactly the serial scan's.
 ClosureReport scan_closure_range_odometer(
     const StateSpace& space, const PredicateFn& predicate,
     const std::vector<std::size_t>& actions, std::uint64_t begin,
@@ -62,9 +61,9 @@ ClosureReport scan_closure_range_odometer(
   return report;
 }
 
-/// evaluate_flags into a TwoBitArray (2 bits/state instead of a byte),
-/// chunk-parallel with in-order count reduction — same counts as
-/// detail::evaluate_flags / evaluate_flags_parallel.
+/// The serial checker's flag pass into a TwoBitArray (2 bits/state instead
+/// of a byte), chunk-parallel with in-order count reduction — same flags
+/// and counts.
 TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
                                  const PredicateFn& S, const PredicateFn& T,
                                  std::uint64_t grain,
@@ -82,6 +81,7 @@ TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
       [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
           unsigned worker) {
         (void)worker;
+        obs::Span chunk_span("sweep.flags.chunk", &sweep_chunk_histogram());
         OdometerCursor cur(space, lo);
         Counts c;
         for (std::uint64_t code = lo; code < hi; ++code) {
@@ -105,6 +105,85 @@ TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
     report.states_in_T += c.in_T;
   }
   return flags;
+}
+
+/// The dense backend's successor source: the ¬S-region adjacency
+/// precomputed in CSR form — the sorted distinct successor codes of every
+/// ¬S state, exactly as ProgramSuccessors produces them on the fly.
+class CsrSuccessors final : public SuccessorSource {
+ public:
+  CsrSuccessors(std::vector<std::uint64_t> offsets,
+                std::vector<std::uint64_t> succs)
+      : offsets_(std::move(offsets)), succs_(std::move(succs)) {}
+
+  void successors(std::uint64_t code,
+                  std::vector<std::uint64_t>& out) override {
+    out.assign(succs_.begin() + static_cast<std::ptrdiff_t>(offsets_[code]),
+               succs_.begin() +
+                   static_cast<std::ptrdiff_t>(offsets_[code + 1]));
+  }
+
+ private:
+  std::vector<std::uint64_t> offsets_;  // size() + 1 entries
+  std::vector<std::uint64_t> succs_;
+};
+
+/// Chunk-parallel CSR build. Decode, guard evaluation, apply and encode per
+/// transition are the hot ~90% of a convergence check; building them here
+/// on every worker leaves the serial DFS/SCC core only array walks, at
+/// 8 bytes per code for the offsets plus 8 per transition.
+CsrSuccessors build_region_adjacency(ThreadPool& pool, const StateSpace& space,
+                                     const TwoBitArray& flags,
+                                     const std::vector<std::size_t>& actions,
+                                     std::uint64_t grain) {
+  struct ChunkAdj {
+    std::vector<std::uint32_t> degree;  // per code in the chunk
+    std::vector<std::uint64_t> data;    // concatenated successor lists
+  };
+  std::vector<ChunkAdj> chunks(chunk_count(space.size(), grain));
+  std::vector<ProgramSuccessors> sources;
+  sources.reserve(pool.size());
+  for (unsigned i = 0; i < pool.size(); ++i) {
+    sources.emplace_back(space, actions);
+  }
+
+  obs::ProgressMeter meter("adjacency", space.size());
+  parallel_for_chunked(
+      pool, 0, space.size(), grain,
+      [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
+          unsigned worker) {
+        obs::Span chunk_span("sweep.adjacency.chunk",
+                             &sweep_chunk_histogram());
+        ChunkAdj& adj = chunks[chunk];
+        adj.degree.reserve(static_cast<std::size_t>(hi - lo));
+        std::vector<std::uint64_t> succs;
+        for (std::uint64_t code = lo; code < hi; ++code) {
+          if ((flags[code] & detail::kFlagS) != 0) {
+            adj.degree.push_back(0);  // in S: the DFS never expands it
+            continue;
+          }
+          sources[worker].successors(code, succs);
+          adj.degree.push_back(static_cast<std::uint32_t>(succs.size()));
+          adj.data.insert(adj.data.end(), succs.begin(), succs.end());
+        }
+        meter.add(hi - lo);
+      });
+
+  std::size_t total = 0;
+  for (const ChunkAdj& adj : chunks) total += adj.data.size();
+  std::vector<std::uint64_t> offsets(space.size() + 1, 0);
+  std::vector<std::uint64_t> data;
+  data.reserve(total);
+  std::uint64_t code = 0;
+  for (ChunkAdj& adj : chunks) {
+    for (std::uint32_t deg : adj.degree) {
+      offsets[code + 1] = offsets[code] + deg;
+      ++code;
+    }
+    data.insert(data.end(), adj.data.begin(), adj.data.end());
+    adj = ChunkAdj{};  // free each chunk once copied
+  }
+  return CsrSuccessors(std::move(offsets), std::move(data));
 }
 
 /// Thrown by the u16 bookkeeping when a convergence distance exceeds its
@@ -229,13 +308,14 @@ ClosureReport check_closed_store(const StateSpace& space,
       [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
           unsigned worker) {
         (void)worker;
+        obs::Span chunk_span("sweep.closure.chunk", &sweep_chunk_histogram());
         chunks[chunk] =
             scan_closure_range_odometer(space, predicate, actions, lo, hi);
         meter.add(hi - lo);
       });
 
-  // In-order reduction replaying the serial scan's early exit (the same
-  // reduction as the parallel sweep's).
+  // In-order reduction replaying the serial scan's early exit at the first
+  // violating chunk, so counts match the serial report bit for bit.
   ClosureReport report;
   for (ClosureReport& c : chunks) {
     report.states_checked += c.states_checked;
@@ -266,9 +346,17 @@ ConvergenceReport check_convergence_store(const StateSpace& space,
   obs::Span span("store.convergence");
   ThreadPool pool(config.threads);
   ConvergenceReport report;
+  const std::uint64_t grain = aligned_grain(config);
   const TwoBitArray flags =
-      evaluate_flags_store(pool, space, S, T, aligned_grain(config), report);
+      evaluate_flags_store(pool, space, S, T, grain, report);
   const std::vector<std::size_t> actions = non_fault_actions(space.program());
+  if (config.backend == StoreBackend::kLegacyDense) {
+    CsrSuccessors succ =
+        build_region_adjacency(pool, space, flags, actions, grain);
+    detail::DenseDfsBookkeeping bk(space.size());
+    return detail::check_convergence_core_impl(space, flags, succ,
+                                               std::move(report), bk);
+  }
 
   // First pass with 16-bit distances (~5 bytes/state total). Convergence
   // spans beyond 65535 steps are possible in principle, so on overflow the
@@ -278,7 +366,7 @@ ConvergenceReport check_convergence_store(const StateSpace& space,
   {
     ConvergenceReport attempt = report;
     CompactDfsBookkeeping<std::uint16_t> bk(space.size());
-    StoreBackedSuccessors succ(space, actions);
+    ProgramSuccessors succ(space, actions);
     try {
       return detail::check_convergence_core_impl(space, flags, succ,
                                                  std::move(attempt), bk);
@@ -286,7 +374,7 @@ ConvergenceReport check_convergence_store(const StateSpace& space,
     }
   }
   CompactDfsBookkeeping<std::uint32_t> bk(space.size());
-  StoreBackedSuccessors succ(space, actions);
+  ProgramSuccessors succ(space, actions);
   return detail::check_convergence_core_impl(space, flags, succ,
                                              std::move(report), bk);
 }
@@ -297,10 +385,18 @@ ConvergenceReport check_convergence_weakly_fair_store(
   obs::Span span("store.convergence_fair");
   ThreadPool pool(config.threads);
   ConvergenceReport report;
+  const std::uint64_t grain = aligned_grain(config);
   const TwoBitArray flags =
-      evaluate_flags_store(pool, space, S, T, aligned_grain(config), report);
+      evaluate_flags_store(pool, space, S, T, grain, report);
   const std::vector<std::size_t> actions = non_fault_actions(space.program());
-  StoreBackedSuccessors succ(space, actions);
+  if (config.backend == StoreBackend::kLegacyDense) {
+    CsrSuccessors succ =
+        build_region_adjacency(pool, space, flags, actions, grain);
+    detail::DenseTarjanBookkeeping bk(space.size());
+    return detail::check_convergence_weakly_fair_core_impl(
+        space, flags, succ, actions, std::move(report), bk);
+  }
+  ProgramSuccessors succ(space, actions);
   CompactTarjanBookkeeping bk(space.size());
   return detail::check_convergence_weakly_fair_core_impl(
       space, flags, succ, actions, std::move(report), bk);
@@ -315,7 +411,7 @@ std::optional<VariantFunction> compute_variant_store(const StateSpace& space,
   const TwoBitArray flags = evaluate_flags_store(
       pool, space, S, true_predicate(), aligned_grain(config), report);
   const std::vector<std::size_t> actions = non_fault_actions(space.program());
-  StoreBackedSuccessors succ(space, actions);
+  ProgramSuccessors succ(space, actions);
   // u32 distances directly: the dist vector doubles as the variant values,
   // so the u16 first-attempt trick would force a copy-widen on success.
   CompactDfsBookkeeping<std::uint32_t> bk(space.size());

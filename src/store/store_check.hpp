@@ -1,15 +1,21 @@
-// Store-backed exhaustive checks.
+// The store pipeline: the one parallel implementation of the exhaustive
+// checks, serving both backends of store/facade.hpp.
 //
-// Same reports as the legacy checker (closure_check.hpp,
-// convergence_check.hpp, fault_span.hpp) with the per-state footprint cut
-// from bytes to bits: predicate flags and DFS colors live in 2-bit arrays,
-// convergence distances start at 16 bits (widened transparently if a run
-// actually exceeds 65535 steps), scans ripple-decode with OdometerCursor
-// instead of per-code div/mod, and reachability runs through the
-// FrontierEngine with optional disk spill. Every function here is bound by
-// the byte-identity contract: for the same inputs it returns the same
-// report bytes as the serial checker and the parallel sweep, at any thread
-// count (see DESIGN.md §11).
+// Same reports as the serial reference checker (closure_check.hpp,
+// convergence_check.hpp, fault_span.hpp). Scans ripple-decode with
+// OdometerCursor instead of per-code div/mod, predicate flags live in a
+// 2-bit array, and reachability runs through the FrontierEngine with
+// optional disk spill. The convergence passes differ by backend only in
+// their successor source and DFS/SCC bookkeeping:
+//   kStore        on-the-fly successors; 2-bit colors, distances starting
+//                 at 16 bits (widened transparently past 65535 steps), and
+//                 compact Tarjan arrays;
+//   kLegacyDense  a chunk-parallel precomputed CSR adjacency (the fastest
+//                 source at nproc threads, at 8+ bytes per code) and the
+//                 dense per-code bookkeeping of the serial checker.
+// Every function here is bound by the byte-identity contract: for the same
+// inputs it returns the same report bytes as the serial checker, at any
+// thread count (see DESIGN.md §11).
 #pragma once
 
 #include <optional>
@@ -34,21 +40,23 @@ ClosureReport check_closed_store(const StateSpace& space,
                                  const PredicateFn& predicate,
                                  const StoreConfig& config);
 
-/// Unfair-daemon convergence with compact bookkeeping (~5 bytes/state
-/// instead of ~13): parallel flag sweep into a TwoBitArray, then the shared
-/// DFS core (checker/convergence_core.hpp) over 2-bit colors, narrow
-/// distances, and a sparse on-stack map.
+/// Unfair-daemon convergence: parallel flag pass into a TwoBitArray, then
+/// the shared DFS core (checker/convergence_core.hpp). Under kStore the
+/// core runs over 2-bit colors, narrow distances, and a sparse on-stack map
+/// (~5 bytes/state instead of ~13); under kLegacyDense over the CSR
+/// adjacency and dense bookkeeping.
 ConvergenceReport check_convergence_store(const StateSpace& space,
                                           const PredicateFn& S,
                                           const PredicateFn& T,
                                           const StoreConfig& config);
 
-/// Weakly-fair convergence (Tarjan/SCC + fair-escape analysis) with
-/// store-native bookkeeping: the visit index lives in a stamped u32 array
-/// over the code range, lowlinks in slab-grown arenas indexed by dense
-/// visit id, on-stack marks in one bit per state, and SCC membership in
-/// sorted snapshots of the nontrivial components only — never the legacy
-/// ~17-bytes/state int32 arrays. Reports are byte-identical to
+/// Weakly-fair convergence (Tarjan/SCC + fair-escape analysis). Under
+/// kStore the bookkeeping is store-native: the visit index lives in a
+/// stamped u32 array over the code range, lowlinks in slab-grown arenas
+/// indexed by dense visit id, on-stack marks in one bit per state, and SCC
+/// membership in sorted snapshots of the nontrivial components only —
+/// never the dense ~13-bytes/state int32 arrays, which kLegacyDense uses
+/// over the CSR adjacency. Reports are byte-identical to
 /// check_convergence_weakly_fair at any thread count.
 ConvergenceReport check_convergence_weakly_fair_store(
     const StateSpace& space, const PredicateFn& S, const PredicateFn& T,

@@ -1,6 +1,7 @@
-// Tests for the parallel verification & campaign subsystem: the thread
-// pool primitive, parallel-vs-serial bit-equivalence of every sweep, the
-// campaign runner, and logging thread-safety.
+// Tests for the parallel subsystem: the thread pool primitive, the dense
+// backend's parallel checks against the serial reference, the campaign
+// runner, and logging thread-safety. The full backend-by-backend
+// equivalence suite lives in store_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,13 +16,13 @@
 #include "checker/state_space.hpp"
 #include "engine/experiment.hpp"
 #include "parallel/campaign.hpp"
-#include "parallel/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/running_example.hpp"
 #include "protocols/token_ring.hpp"
 #include "protocols/token_ring_small.hpp"
+#include "store/facade.hpp"
 #include "util/logging.hpp"
 
 namespace nonmask {
@@ -98,7 +99,7 @@ TEST(ThreadPoolTest, EnvOverrideControlsDefaultThreads) {
   EXPECT_GE(default_threads(), 1u);
 }
 
-// ----------------------------------------------------- sweep equivalence
+// ------------------------------------------------- dense parallel checks
 
 void expect_same_closure(const ClosureReport& a, const ClosureReport& b) {
   EXPECT_EQ(a.closed, b.closed);
@@ -130,11 +131,20 @@ void expect_same_convergence(const ConvergenceReport& a,
   }
 }
 
-SweepOptions sweep_opts(unsigned threads) {
-  SweepOptions opts;
-  opts.threads = threads;
-  opts.grain = 64;  // small grain so several chunks exist even on tiny spaces
-  return opts;
+void expect_same_set(const StateSet& a, const StateSet& b,
+                     const StateSpace& space) {
+  EXPECT_EQ(a.size(), b.size());
+  for (std::uint64_t code = 0; code < space.size(); ++code) {
+    ASSERT_EQ(a.contains_code(code), b.contains_code(code)) << "code " << code;
+  }
+}
+
+store::StoreConfig dense_config(unsigned threads) {
+  store::StoreConfig cfg;
+  cfg.backend = store::StoreBackend::kLegacyDense;
+  cfg.threads = threads;
+  cfg.grain = 64;  // small grain so several chunks exist even on tiny spaces
+  return cfg;
 }
 
 TEST(SweepTest, ClosureMatchesSerialAcrossThreadCounts) {
@@ -142,28 +152,8 @@ TEST(SweepTest, ClosureMatchesSerialAcrossThreadCounts) {
   StateSpace space(dd.design.program);
   const auto serial = check_closed(space, dd.design.S());
   for (unsigned threads : {1u, 2u, 8u}) {
-    expect_same_closure(
-        serial,
-        check_closed_parallel(space, dd.design.S(), sweep_opts(threads)));
-  }
-}
-
-TEST(SweepTest, ClosureViolationMatchesSerial) {
-  // x != y alone is not closed under the write-x-both variant (fix-leq sets
-  // x := z, which can land on y), so the first violating (state, action,
-  // successor) triple must match exactly.
-  const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
-  StateSpace space(d.program);
-  const VarId x = d.program.find_variable("x");
-  const VarId y = d.program.find_variable("y");
-  const PredicateFn only_first = [x, y](const State& s) {
-    return s.get(x) != s.get(y);
-  };
-  const auto serial = check_closed(space, only_first);
-  ASSERT_FALSE(serial.closed);
-  for (unsigned threads : {2u, 8u}) {
-    expect_same_closure(
-        serial, check_closed_parallel(space, only_first, sweep_opts(threads)));
+    expect_same_closure(serial, store::check_closed_via(dense_config(threads),
+                                                        space, dd.design.S()));
   }
 }
 
@@ -189,9 +179,8 @@ TEST(SweepTest, ConvergenceMatchesSerialOnShippedProtocols) {
         check_convergence(space, c.design.S(), c.design.T());
     for (unsigned threads : {1u, 2u, 8u}) {
       expect_same_convergence(
-          serial, check_convergence_parallel(space, c.design.S(),
-                                             c.design.T(),
-                                             sweep_opts(threads)));
+          serial, store::check_convergence_via(dense_config(threads), space,
+                                               c.design.S(), c.design.T()));
     }
   }
 }
@@ -205,8 +194,8 @@ TEST(SweepTest, ConvergenceViolationMatchesSerial) {
   ASSERT_EQ(serial.verdict, ConvergenceVerdict::kViolated);
   for (unsigned threads : {2u, 8u}) {
     expect_same_convergence(
-        serial,
-        check_convergence_parallel(space, d.S(), d.T(), sweep_opts(threads)));
+        serial, store::check_convergence_via(dense_config(threads), space,
+                                             d.S(), d.T()));
   }
 }
 
@@ -218,8 +207,8 @@ TEST(SweepTest, WeaklyFairMatchesSerial) {
   for (unsigned threads : {2u, 8u}) {
     expect_same_convergence(
         serial,
-        check_convergence_weakly_fair_parallel(
-            space, tr.design.S(), tr.design.T(), sweep_opts(threads)));
+        store::check_convergence_weakly_fair_via(
+            dense_config(threads), space, tr.design.S(), tr.design.T()));
   }
 }
 
@@ -228,13 +217,10 @@ TEST(SweepTest, FaultSpanMatchesSerial) {
   StateSpace space(dd.design.program);
   const auto serial = compute_fault_span(space, dd.design.S(), {});
   for (unsigned threads : {2u, 8u}) {
-    const auto par = compute_fault_span_parallel(space, dd.design.S(), {},
-                                                 {}, sweep_opts(threads));
-    EXPECT_EQ(par.size(), serial.size());
-    for (std::uint64_t code = 0; code < space.size(); ++code) {
-      ASSERT_EQ(par.contains_code(code), serial.contains_code(code))
-          << "code " << code;
-    }
+    expect_same_set(serial,
+                    store::compute_fault_span_via(dense_config(threads), space,
+                                                  dd.design.S(), {}),
+                    space);
   }
 }
 
@@ -247,32 +233,11 @@ TEST(SweepTest, CappedReachabilityMatchesSerial) {
   const auto serial =
       compute_reachable(space, dd.design.S(), actions, span_opts);
   for (unsigned threads : {2u, 8u}) {
-    const auto par = compute_reachable_parallel(
-        space, dd.design.S(), actions, span_opts, sweep_opts(threads));
-    EXPECT_EQ(par.size(), serial.size());
-    for (std::uint64_t code = 0; code < space.size(); ++code) {
-      ASSERT_EQ(par.contains_code(code), serial.contains_code(code))
-          << "code " << code;
-    }
-  }
-}
-
-TEST(SweepTest, StateSpaceTooLargeBoundary) {
-  const auto dd = make_diffusing(RootedTree::balanced(7, 2), true);
-  const auto count = dd.design.program.state_count();
-  ASSERT_TRUE(count.has_value());
-  // Exactly at budget: constructible and sweepable.
-  StateSpace exact(dd.design.program, *count);
-  EXPECT_TRUE(
-      check_closed_parallel(exact, dd.design.S(), sweep_opts(2)).closed);
-  // One below budget: the parallel paths see the same exception the serial
-  // ones do, at construction time.
-  try {
-    StateSpace too_small(dd.design.program, *count - 1);
-    FAIL() << "expected StateSpaceTooLarge";
-  } catch (const StateSpaceTooLarge& e) {
-    EXPECT_EQ(e.requested(), *count);
-    EXPECT_EQ(e.budget(), *count - 1);
+    expect_same_set(serial,
+                    store::compute_reachable_via(dense_config(threads), space,
+                                                 dd.design.S(), actions,
+                                                 span_opts),
+                    space);
   }
 }
 

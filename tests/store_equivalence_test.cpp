@@ -1,9 +1,13 @@
-// The two-backend contract (store/facade.hpp): every report the store
-// backend produces must be byte-identical to the legacy dense backend, on
-// every protocol, at every thread count. This suite checks the contract
+// The backend contract (store/facade.hpp): every report either backend
+// produces must be byte-identical to the serial reference checker in
+// src/checker/, on every protocol, at every thread count. The backends
+// share the store pipeline's scans, so each is compared with the serial
+// reference, never only with the other. This suite checks the contract
 // field-by-field — counts, verdicts, and full counterexample states — for
-// closure, convergence, reachability, fault span, and the end-to-end
-// tolerance verdict, across 1/2/8 worker threads.
+// closure, convergence (unfair and weakly fair), reachability, fault span,
+// variant extraction, and the end-to-end tolerance verdict, across 1/2/8
+// worker threads, with a grain small enough that every space spans several
+// chunks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,26 +39,44 @@ struct Case {
 std::vector<Case> equivalence_cases() {
   std::vector<Case> cases;
   // kWriteXBoth is deliberately broken: its convergence check produces a
-  // cycle counterexample, so the counterexample paths are compared too.
+  // livelock cycle counterexample, so the counterexample paths are
+  // compared too.
   cases.push_back({"running-example",
                    make_running_example(RunningExampleVariant::kWriteYZ)});
   cases.push_back({"running-example-broken",
                    make_running_example(RunningExampleVariant::kWriteXBoth)});
   cases.push_back(
       {"diffusing", make_diffusing(RootedTree::balanced(3, 2), true).design});
+  cases.push_back(
+      {"diffusing-7", make_diffusing(RootedTree::balanced(7, 2), true).design});
+  cases.push_back(
+      {"diffusing-chain", make_diffusing(RootedTree::chain(6), true).design});
   cases.push_back({"token-ring-small", make_dijkstra_three_state(3).design});
+  cases.push_back(
+      {"three-state-ring", make_dijkstra_three_state(4).design});
   cases.push_back({"dijkstra-ring", make_dijkstra_ring(4, 5).design});
+  cases.push_back(
+      {"bounded-ring", make_token_ring_bounded(4, 3, true).design});
   cases.push_back(
       {"coloring", make_coloring(UndirectedGraph::cycle(4)).design});
   return cases;
 }
 
+constexpr store::StoreBackend kBackends[] = {
+    store::StoreBackend::kLegacyDense, store::StoreBackend::kStore};
+
 store::StoreConfig config_for(store::StoreBackend backend, unsigned threads) {
   store::StoreConfig cfg;
   cfg.backend = backend;
   cfg.threads = threads;
-  cfg.grain = 128;  // small grain: tiny spaces still cross chunk boundaries
+  cfg.grain = 64;  // small grain: tiny spaces still cross chunk boundaries
   return cfg;
+}
+
+std::string context(const std::string& label, store::StoreBackend backend,
+                    unsigned threads) {
+  return label + " " + store::to_string(backend) + " @" +
+         std::to_string(threads) + "t";
 }
 
 void expect_same_closure(const ClosureReport& a, const ClosureReport& b,
@@ -104,72 +126,98 @@ TEST_P(BackendEquivalenceTest, AllReportsByteIdentical) {
   const unsigned threads = GetParam();
   for (const auto& c : equivalence_cases()) {
     const StateSpace space(c.design.program);
-    const auto dense =
-        config_for(store::StoreBackend::kLegacyDense, threads);
-    const auto packed = config_for(store::StoreBackend::kStore, threads);
-    const std::string ctx = c.label + " @" + std::to_string(threads) + "t";
-
-    expect_same_closure(check_closed(space, c.design.S()),
-                        store::check_closed_via(packed, space, c.design.S()),
-                        ctx + " closure(S) vs serial");
-    expect_same_closure(store::check_closed_via(dense, space, c.design.T()),
-                        store::check_closed_via(packed, space, c.design.T()),
-                        ctx + " closure(T)");
-
-    expect_same_convergence(
-        check_convergence(space, c.design.S(), c.design.T()),
-        store::check_convergence_via(packed, space, c.design.S(),
-                                     c.design.T()),
-        ctx + " convergence vs serial");
-    expect_same_convergence(
-        store::check_convergence_via(dense, space, c.design.S(),
-                                     c.design.T()),
-        store::check_convergence_via(packed, space, c.design.S(),
-                                     c.design.T()),
-        ctx + " convergence");
-
+    const PredicateFn S = c.design.S();
+    const PredicateFn T = c.design.T();
     const auto faults = c.design.program.actions_of_kind(ActionKind::kFault);
-    expect_same_set(
-        compute_fault_span(space, c.design.S(), faults),
-        store::compute_fault_span_via(packed, space, c.design.S(), faults),
-        ctx + " fault-span");
 
-    const auto tol_dense = store::verify_tolerance_via(dense, space, c.design);
-    const auto tol_store =
-        store::verify_tolerance_via(packed, space, c.design);
-    EXPECT_EQ(tol_dense.S_closed, tol_store.S_closed) << ctx;
-    EXPECT_EQ(tol_dense.T_closed, tol_store.T_closed) << ctx;
-    expect_same_convergence(tol_dense.convergence, tol_store.convergence,
-                            ctx + " tolerance");
-    EXPECT_EQ(tol_dense.tolerant(), tol_store.tolerant()) << ctx;
+    const auto closure_S = check_closed(space, S);
+    const auto closure_T = check_closed(space, T);
+    const auto convergence = check_convergence(space, S, T);
+    const auto span = compute_fault_span(space, S, faults);
+    const auto tolerance = verify_tolerance(space, c.design);
+
+    for (const auto backend : kBackends) {
+      const auto cfg = config_for(backend, threads);
+      const std::string ctx = context(c.label, backend, threads);
+      expect_same_closure(closure_S, store::check_closed_via(cfg, space, S),
+                          ctx + " closure(S)");
+      expect_same_closure(closure_T, store::check_closed_via(cfg, space, T),
+                          ctx + " closure(T)");
+      expect_same_convergence(
+          convergence, store::check_convergence_via(cfg, space, S, T),
+          ctx + " convergence");
+      expect_same_set(span,
+                      store::compute_fault_span_via(cfg, space, S, faults),
+                      ctx + " fault-span");
+
+      const auto via = store::verify_tolerance_via(cfg, space, c.design);
+      EXPECT_EQ(tolerance.S_closed, via.S_closed) << ctx;
+      EXPECT_EQ(tolerance.T_closed, via.T_closed) << ctx;
+      expect_same_convergence(tolerance.convergence, via.convergence,
+                              ctx + " tolerance");
+      EXPECT_EQ(tolerance.tolerant(), via.tolerant()) << ctx;
+    }
   }
 }
 
-// A capped reachability run truncates at the same state under both
-// backends — the cap is part of the determinism contract, not best-effort.
-TEST_P(BackendEquivalenceTest, CappedReachabilityTruncatesIdentically) {
+// The first violating (state, action, successor) triple is part of the
+// contract: x != y alone is not closed under the write-x-both variant
+// (fix-leq sets x := z, which can land on y).
+TEST_P(BackendEquivalenceTest, ClosureViolationMatchesSerial) {
   const unsigned threads = GetParam();
-  const auto dd = make_dijkstra_ring(4, 5);
-  const StateSpace space(dd.design.program);
-  const auto actions = non_fault_actions(dd.design.program);
-  FaultSpanOptions opts;
-  opts.max_states = 101;
-
-  const auto dense = config_for(store::StoreBackend::kLegacyDense, threads);
-  const auto packed = config_for(store::StoreBackend::kStore, threads);
-  expect_same_set(
-      store::compute_reachable_via(dense, space, dd.design.S(), actions,
-                                   opts),
-      store::compute_reachable_via(packed, space, dd.design.S(), actions,
-                                   opts),
-      "capped reach @" + std::to_string(threads) + "t");
+  const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
+  const StateSpace space(d.program);
+  const VarId x = d.program.find_variable("x");
+  const VarId y = d.program.find_variable("y");
+  const PredicateFn only_first = [x, y](const State& s) {
+    return s.get(x) != s.get(y);
+  };
+  const auto serial = check_closed(space, only_first);
+  ASSERT_FALSE(serial.closed);
+  for (const auto backend : kBackends) {
+    expect_same_closure(
+        serial,
+        store::check_closed_via(config_for(backend, threads), space,
+                                only_first),
+        context("closure violation", backend, threads));
+  }
 }
 
-// The weakly-fair (Tarjan/SCC) checker runs store-native under kStore:
-// the compact bookkeeping must reproduce the dense reports byte for byte,
-// including the closed-SCC cycle counterexample of the broken running
-// example and the fairness-rescued distributed reset (where the unfair
-// check is kViolated but the SCC escape analysis proves convergence).
+// A capped reachability run truncates at the same state as the serial
+// BFS — the cap is part of the determinism contract, not best-effort.
+TEST_P(BackendEquivalenceTest, CappedReachabilityTruncatesIdentically) {
+  const unsigned threads = GetParam();
+  struct Capped {
+    std::string label;
+    Design design;
+    std::uint64_t max_states;
+  };
+  const std::vector<Capped> cases = {
+      {"dijkstra-ring", make_dijkstra_ring(4, 5).design, 101},
+      {"diffusing-chain", make_diffusing(RootedTree::chain(6), true).design,
+       37},
+  };
+  for (const auto& c : cases) {
+    const StateSpace space(c.design.program);
+    const auto actions = non_fault_actions(c.design.program);
+    FaultSpanOptions opts;
+    opts.max_states = c.max_states;
+    const auto serial = compute_reachable(space, c.design.S(), actions, opts);
+    for (const auto backend : kBackends) {
+      expect_same_set(
+          serial,
+          store::compute_reachable_via(config_for(backend, threads), space,
+                                       c.design.S(), actions, opts),
+          context(c.label + " capped reach", backend, threads));
+    }
+  }
+}
+
+// The weakly-fair (Tarjan/SCC) check must reproduce the serial reports
+// byte for byte under both bookkeeping layouts, including the closed-SCC
+// cycle counterexample of the broken running example and the
+// fairness-rescued distributed reset (where the unfair check is kViolated
+// but the SCC escape analysis proves convergence).
 TEST_P(BackendEquivalenceTest, WeaklyFairReportsByteIdentical) {
   const unsigned threads = GetParam();
   auto cases = equivalence_cases();
@@ -178,43 +226,63 @@ TEST_P(BackendEquivalenceTest, WeaklyFairReportsByteIdentical) {
        make_distributed_reset(RootedTree::balanced(3, 2), 2, true).design});
   for (const auto& c : cases) {
     const StateSpace space(c.design.program);
-    const auto dense =
-        config_for(store::StoreBackend::kLegacyDense, threads);
-    const auto packed = config_for(store::StoreBackend::kStore, threads);
-    const std::string ctx =
-        c.label + " fair @" + std::to_string(threads) + "t";
-
-    expect_same_convergence(
-        check_convergence_weakly_fair(space, c.design.S(), c.design.T()),
-        store::check_convergence_weakly_fair_via(packed, space, c.design.S(),
-                                                 c.design.T()),
-        ctx + " vs serial");
-    expect_same_convergence(
-        store::check_convergence_weakly_fair_via(dense, space, c.design.S(),
-                                                 c.design.T()),
-        store::check_convergence_weakly_fair_via(packed, space, c.design.S(),
-                                                 c.design.T()),
-        ctx);
+    const auto serial =
+        check_convergence_weakly_fair(space, c.design.S(), c.design.T());
+    for (const auto backend : kBackends) {
+      expect_same_convergence(
+          serial,
+          store::check_convergence_weakly_fair_via(
+              config_for(backend, threads), space, c.design.S(),
+              c.design.T()),
+          context(c.label + " fair", backend, threads));
+    }
   }
 }
 
-// Variant extraction through the store facade produces the same function
-// (the raw per-state distance table) as the legacy serial extraction, and
-// the same "no variant exists" answer for a non-converging design.
+// Variant extraction through the facade produces the same function (the
+// raw per-state distance table) as the serial extraction, and the same
+// "no variant exists" answer for a non-converging design.
 TEST_P(BackendEquivalenceTest, VariantExtractionMatchesDense) {
   const unsigned threads = GetParam();
   for (const auto& c : equivalence_cases()) {
     const StateSpace space(c.design.program);
-    const auto packed = config_for(store::StoreBackend::kStore, threads);
-    const std::string ctx =
-        c.label + " variant @" + std::to_string(threads) + "t";
-
     const auto serial = compute_variant(space, c.design.S());
-    const auto via = store::compute_variant_via(packed, space, c.design.S());
-    ASSERT_EQ(serial.has_value(), via.has_value()) << ctx;
-    if (serial) {
-      EXPECT_EQ(serial->raw(), via->raw()) << ctx;
+    for (const auto backend : kBackends) {
+      const std::string ctx = context(c.label + " variant", backend, threads);
+      const auto via = store::compute_variant_via(config_for(backend, threads),
+                                                  space, c.design.S());
+      ASSERT_EQ(serial.has_value(), via.has_value()) << ctx;
+      if (serial) {
+        EXPECT_EQ(serial->raw(), via->raw()) << ctx;
+      }
     }
+  }
+}
+
+// A space exactly at its budget is constructible and checkable through
+// either backend; one state below, construction throws the typed error
+// before any backend runs.
+TEST_P(BackendEquivalenceTest, StateSpaceTooLargeAtExactBudget) {
+  const unsigned threads = GetParam();
+  const auto dd = make_diffusing(RootedTree::balanced(7, 2), true);
+  const auto count = dd.design.program.state_count();
+  ASSERT_TRUE(count.has_value());
+  const StateSpace exact(dd.design.program, *count);
+  const auto serial = check_closed(exact, dd.design.S());
+  EXPECT_TRUE(serial.closed);
+  for (const auto backend : kBackends) {
+    expect_same_closure(
+        serial,
+        store::check_closed_via(config_for(backend, threads), exact,
+                                dd.design.S()),
+        context("exact budget", backend, threads));
+  }
+  try {
+    const StateSpace too_small(dd.design.program, *count - 1);
+    FAIL() << "expected StateSpaceTooLarge";
+  } catch (const StateSpaceTooLarge& e) {
+    EXPECT_EQ(e.requested(), *count);
+    EXPECT_EQ(e.budget(), *count - 1);
   }
 }
 
