@@ -23,6 +23,7 @@ ClosureReport scan_closure_range(const StateSpace& space,
                                  State& scratch) {
   const Program& p = space.program();
   ClosureReport report;
+  State next(scratch.size());
   for (std::uint64_t code = begin; code < end; ++code) {
     space.decode_into(code, scratch);
     if (!predicate(scratch)) continue;
@@ -31,10 +32,11 @@ ClosureReport scan_closure_range(const StateSpace& space,
       const Action& a = p.action(idx);
       if (!a.enabled(scratch)) continue;
       ++report.transitions_checked;
-      State next = a.apply(scratch);
+      next = scratch;
+      a.execute(next);
       if (!predicate(next)) {
         report.closed = false;
-        report.violation = ClosureViolation{scratch, idx, std::move(next)};
+        report.violation = ClosureViolation{scratch, idx, next};
         return report;
       }
     }

@@ -119,6 +119,7 @@ class ProgramSuccessors final : public SuccessorSource {
   const StateSpace* space_;
   std::vector<std::size_t> actions_;
   State scratch_;
+  State next_;
 };
 
 namespace detail {

@@ -24,6 +24,10 @@ void expand_reachable(const StateSpace& space,
                       const std::vector<std::size_t>& actions,
                       const FaultSpanOptions& opts, std::uint64_t code,
                       State& scratch, std::vector<std::uint64_t>& out) {
+  // The successor buffer is per thread: reused without allocating, and
+  // owned by the thread that writes it, so parallel expansions never
+  // write to a shared cache line.
+  thread_local State next;
   const Program& p = space.program();
   out.clear();
   space.decode_into(code, scratch);
@@ -34,7 +38,9 @@ void expand_reachable(const StateSpace& space,
             ? true
             : a.enabled(scratch);
     if (!fire) continue;
-    out.push_back(space.encode(a.apply(scratch)));
+    next = scratch;
+    a.execute(next);
+    out.push_back(space.encode(next));
   }
 }
 

@@ -109,6 +109,7 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
   std::vector<NontrivialScc> nontrivial;
 
   State scratch(p.num_variables());
+  State successor(p.num_variables());
   std::vector<TarjanFrame> frames;
 
   auto in_region = [&](std::uint64_t code) {
@@ -217,7 +218,9 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
           candidate = false;
           break;
         }
-        const std::uint64_t next = space.encode(a.apply(scratch));
+        successor = scratch;
+        a.execute(successor);
+        const std::uint64_t next = space.encode(successor);
         if (in_region(next) && bk.in_component(next, entry.id)) {
           candidate = false;
           break;
@@ -238,7 +241,9 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
         for (std::size_t idx : actions) {
           const Action& a = p.action(idx);
           if (!a.enabled(scratch)) continue;
-          const std::uint64_t next = space.encode(a.apply(scratch));
+          successor = scratch;
+          a.execute(successor);
+          const std::uint64_t next = space.encode(successor);
           if (!in_region(next) || !bk.in_component(next, entry.id)) {
             closed_scc = false;
             break;

@@ -32,6 +32,7 @@ std::optional<VariantFunction> compute_variant(const StateSpace& space,
   std::vector<std::uint32_t> dist(space.size(), 0);
   std::vector<std::uint8_t> color(space.size(), 0);  // 0 new, 1 open, 2 done
   State scratch(p.num_variables());
+  State next(p.num_variables());
 
   struct Frame {
     std::uint64_t code;
@@ -51,7 +52,10 @@ std::optional<VariantFunction> compute_variant(const StateSpace& space,
     space.decode_into(code, scratch);
     for (std::size_t idx : actions) {
       const Action& a = p.action(idx);
-      if (a.enabled(scratch)) out.push_back(space.encode(a.apply(scratch)));
+      if (!a.enabled(scratch)) continue;
+      next = scratch;
+      a.execute(next);
+      out.push_back(space.encode(next));
     }
   };
 

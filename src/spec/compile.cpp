@@ -122,7 +122,7 @@ PredicateFn to_predicate(CompiledExpr e) {
   if (e.is_const) {
     return e.value != 0 ? true_predicate() : false_predicate();
   }
-  return [e = std::move(e)](const State& s) { return e.fn(s) != 0; };
+  return [e = std::move(e)](const State& s) { return e.run(s) != 0; };
 }
 
 FaultModelPtr build_fault_model(const FaultDecl& d, const Program& program,
@@ -407,7 +407,7 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
       guard = [value](const State&) { return value; };
     } else {
       guard = [e = std::move(guard_expr)](const State& s) {
-        return e.fn(s) != 0;
+        return e.run(s) != 0;
       };
     }
     // Simultaneous assignment: all right-hand sides read the pre-state.

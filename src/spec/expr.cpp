@@ -311,46 +311,100 @@ class ExprParser {
   Lexer lex_;
 };
 
-// --- compiler -------------------------------------------------------------
+// --- operator table -------------------------------------------------------
 
-CompiledExpr make_const(long long v) {
-  CompiledExpr c;
-  c.is_const = true;
-  c.value = static_cast<Value>(v);
-  return c;
+// Every binary operator: name, token, and result over the 64-bit operands
+// a and b. Constant folding and the interpreter both go through apply(),
+// so index time and state time cannot disagree.
+#define NONMASK_SPEC_BINARY_OPS(X)  \
+  X(kAdd, "+", a + b)               \
+  X(kSub, "-", a - b)               \
+  X(kMul, "*", a * b)               \
+  X(kDiv, "/", b == 0 ? 0 : a / b)  \
+  X(kMod, "%", b == 0 ? 0 : a % b)  \
+  X(kEq, "==", a == b)              \
+  X(kNe, "!=", a != b)              \
+  X(kLt, "<", a < b)                \
+  X(kLe, "<=", a <= b)              \
+  X(kGt, ">", a > b)                \
+  X(kGe, ">=", a >= b)              \
+  X(kAnd, "&&", a != 0 && b != 0)   \
+  X(kOr, "||", a != 0 || b != 0)
+
+enum class BinOp : std::uint8_t {
+#define NONMASK_ENUM(name, token, expr) name,
+  NONMASK_SPEC_BINARY_OPS(NONMASK_ENUM)
+#undef NONMASK_ENUM
+};
+
+/// The operator's result, wrapped to Value. Operands are Values, so the
+/// 64-bit arithmetic itself never overflows.
+inline Value apply(BinOp op, long long a, long long b) {
+  switch (op) {
+#define NONMASK_APPLY(name, token, expr) \
+  case BinOp::name:                      \
+    return static_cast<Value>(expr);
+    NONMASK_SPEC_BINARY_OPS(NONMASK_APPLY)
+#undef NONMASK_APPLY
+  }
+  return 0;
 }
 
-void merge_reads(std::vector<VarId>& into, const std::vector<VarId>& from) {
-  for (VarId id : from) {
-    if (std::find(into.begin(), into.end(), id) == into.end()) {
-      into.push_back(id);
-    }
+BinOp binop_from_token(const std::string& token) {
+#define NONMASK_TOKEN(name, tok, expr) \
+  if (token == tok) return BinOp::name;
+  NONMASK_SPEC_BINARY_OPS(NONMASK_TOKEN)
+#undef NONMASK_TOKEN
+  throw ExprError("unknown operator '" + token + "'");
+}
+
+bool is_boolean(BinOp op) {
+  return op != BinOp::kAdd && op != BinOp::kSub && op != BinOp::kMul &&
+         op != BinOp::kDiv && op != BinOp::kMod;
+}
+
+Value negate(Value v) { return static_cast<Value>(-static_cast<long long>(v)); }
+
+Value mex(const Value* values, std::size_t n) {
+  for (Value v = 0;; ++v) {
+    if (std::find(values, values + n, v) == values + n) return v;
   }
 }
 
-CompiledExpr make_var_read(VarId id) {
-  CompiledExpr c;
-  c.fn = [id](const State& s) { return s.get(id); };
-  c.reads = {id};
-  return c;
+// Where a binary instruction takes each operand from.
+enum Source : std::uint8_t { kFromStack = 0, kFromVar = 1, kFromConst = 2 };
+
+constexpr std::uint8_t binary_code(BinOp op, Source lhs, Source rhs) {
+  return static_cast<std::uint8_t>(static_cast<int>(Op::kBinary) +
+                                   9 * static_cast<int>(op) + 3 * lhs + rhs);
 }
 
-long long apply_binary(const std::string& op, long long a, long long b) {
-  if (op == "+") return a + b;
-  if (op == "-") return a - b;
-  if (op == "*") return a * b;
-  if (op == "/") return b == 0 ? 0 : a / b;
-  if (op == "%") return b == 0 ? 0 : a % b;
-  if (op == "==") return a == b ? 1 : 0;
-  if (op == "!=") return a != b ? 1 : 0;
-  if (op == "<") return a < b ? 1 : 0;
-  if (op == "<=") return a <= b ? 1 : 0;
-  if (op == ">") return a > b ? 1 : 0;
-  if (op == ">=") return a >= b ? 1 : 0;
-  if (op == "&&") return (a != 0 && b != 0) ? 1 : 0;
-  if (op == "||") return (a != 0 || b != 0) ? 1 : 0;
-  throw ExprError("unknown operator '" + op + "'");
-}
+constexpr std::uint8_t code_of(Op op) { return static_cast<std::uint8_t>(op); }
+
+// --- compiler -------------------------------------------------------------
+
+/// A compiled subexpression. Constants and single variable reads are
+/// left unemitted, so the parent can fold them or fuse them into its own
+/// instruction; anything else has already pushed its value.
+struct Operand {
+  Source source = kFromStack;
+  Value value = 0;  ///< kFromConst: the value; kFromVar: the VarId index
+  bool boolean = false;  ///< known to evaluate to 0 or 1
+
+  static Operand constant(long long v) {
+    Operand o;
+    o.source = kFromConst;
+    o.value = static_cast<Value>(v);
+    o.boolean = o.value == 0 || o.value == 1;
+    return o;
+  }
+  static Operand stack(bool boolean) {
+    Operand o;
+    o.boolean = boolean;
+    return o;
+  }
+  bool is_const() const { return source == kFromConst; }
+};
 
 const Topology& require_topo(const CompileEnv& env, const char* fn) {
   if (env.topo == nullptr || env.topo->kind == Topology::Kind::kNone) {
@@ -413,252 +467,281 @@ std::vector<long long> eval_set(const ExprPtr& set, const CompileEnv& env) {
   throw ExprError("unknown comprehension set '" + set->name + "'");
 }
 
-CompiledExpr compile_comprehension(const ExprNode& node,
-                                   const CompileEnv& env) {
-  const std::vector<long long> values = eval_set(node.args[0], env);
-  std::vector<CompiledExpr> bodies;
-  bodies.reserve(values.size());
-  CompileEnv inner = env;
-  for (long long v : values) {
-    inner.binders[node.binder] = v;
-    bodies.push_back(compile_expr(node.args[1], inner));
+/// Index-time topology accessors; every argument must fold.
+long long topology_call(const ExprNode& node, const CompileEnv& env) {
+  const std::string& fn = node.name;
+  const Topology& topo = require_topo(env, fn.c_str());
+  if (fn == "root") {
+    if (topo.kind != Topology::Kind::kTree) {
+      throw ExprError("root() requires a tree topology");
+    }
+    return topo.root;
+  }
+  if (fn == "nproc") return topo.n;
+  if (node.args.empty()) throw ExprError(fn + " requires arguments");
+  const long long j0 = eval_index_expr(node.args[0], env);
+  const int j = check_node(topo, j0, fn.c_str());
+  if (fn == "next" || fn == "prev") {
+    if (topo.kind != Topology::Kind::kRing) {
+      throw ExprError(fn + "(j) requires a ring topology");
+    }
+    return fn == "next" ? (j + 1) % topo.n : (j - 1 + topo.n) % topo.n;
+  }
+  if (fn == "parent") {
+    if (topo.kind != Topology::Kind::kTree) {
+      throw ExprError("parent(j) requires a tree topology");
+    }
+    return topo.parent[static_cast<std::size_t>(j)];
+  }
+  if (fn == "deg" || fn == "degree") {
+    return static_cast<long long>(
+        topo.nbrs[static_cast<std::size_t>(j)].size());
+  }
+  // nbr(j, i) / backidx(j, i)
+  if (node.args.size() != 2) throw ExprError(fn + "(j, i) takes 2 args");
+  const long long i = eval_index_expr(node.args[1], env);
+  const auto& adj = topo.nbrs[static_cast<std::size_t>(j)];
+  if (i < 0 || i >= static_cast<long long>(adj.size())) {
+    throw ExprError(fn + "(" + std::to_string(j) + ", " + std::to_string(i) +
+                    "): adjacency index out of range");
+  }
+  const int k = adj[static_cast<std::size_t>(i)];
+  if (fn == "nbr") return k;
+  // backidx: position of j in k's adjacency list.
+  const auto& back = topo.nbrs[static_cast<std::size_t>(k)];
+  const auto it = std::find(back.begin(), back.end(), j);
+  if (it == back.end()) {
+    throw ExprError("backidx: topology adjacency is not symmetric");
+  }
+  return static_cast<long long>(it - back.begin());
+}
+
+/// Compiles one expression into a single growing program, bottom-up: each
+/// node appends its instructions after its children's, so compilation is
+/// linear in the expanded expression. A node that folds to a constant
+/// rolls the program, the read set, and the constant pool back to where
+/// it started.
+class Emitter {
+ public:
+  Operand compile(const ExprNode& node, const CompileEnv& env);
+
+  CompiledExpr finish(const Operand& result) {
+    CompiledExpr out;
+    if (result.is_const()) {
+      out.is_const = true;
+      out.value = result.value;
+      return out;
+    }
+    push(result);
+    out.code = std::move(code_);
+    out.pool = std::move(pool_);
+    out.max_stack = max_depth_;
+    out.reads = std::move(reads_);
+    return out;
   }
 
-  const std::string& kind = node.name;
-  auto fold = [&](Value init, auto&& combine,
-                  auto&& early) -> CompiledExpr {
-    // Constant-fold what we can; keep the rest for runtime.
-    std::vector<CompiledExpr> dynamic;
-    long long acc = init;
-    for (const CompiledExpr& b : bodies) {
-      if (b.is_const) {
-        acc = combine(acc, b.value);
-        if (early(acc)) return make_const(acc);
-      } else {
-        dynamic.push_back(b);
-      }
-    }
-    if (dynamic.empty()) return make_const(acc);
-    CompiledExpr c;
-    for (const CompiledExpr& b : dynamic) merge_reads(c.reads, b.reads);
-    c.fn = [acc, dynamic = std::move(dynamic), combine,
-            early](const State& s) {
-      long long r = acc;
-      for (const CompiledExpr& b : dynamic) {
-        r = combine(r, b.eval(s));
-        if (early(r)) break;
-      }
-      return static_cast<Value>(r);
-    };
-    return c;
+ private:
+  struct Mark {
+    std::size_t code, reads, pool;
+    std::uint32_t depth;
   };
 
+  Mark mark() const {
+    return {code_.size(), reads_.size(), pool_.size(), depth_};
+  }
+
+  void rollback(const Mark& m) {
+    code_.resize(m.code);
+    for (std::size_t i = m.reads; i < reads_.size(); ++i) {
+      seen_[reads_[i].index()] = 0;
+    }
+    reads_.resize(m.reads);
+    pool_.resize(m.pool);
+    depth_ = m.depth;
+  }
+
+  /// Append one instruction that pops `pops` values and pushes one.
+  std::size_t emit(Op op, std::int32_t a, std::int32_t b, std::uint32_t pops,
+                   std::uint32_t pushes = 1) {
+    code_.push_back({op, a, b});
+    depth_ = depth_ - pops + pushes;
+    max_depth_ = std::max(max_depth_, depth_);
+    return code_.size() - 1;
+  }
+
+  void push(const Operand& o) {
+    if (o.source == kFromVar) emit(Op::kLoad, o.value, 0, 0);
+    if (o.source == kFromConst) emit(Op::kConst, o.value, 0, 0);
+  }
+
+  Operand read(VarId id) {
+    if (seen_.size() <= id.index()) seen_.resize(id.index() + 1, 0);
+    if (seen_[id.index()] == 0) {
+      seen_[id.index()] = 1;
+      reads_.push_back(id);
+    }
+    Operand o;
+    o.source = kFromVar;
+    o.value = static_cast<Value>(id.index());
+    return o;
+  }
+
+  Operand binary(const ExprNode& node, const CompileEnv& env);
+  Operand ternary(const ExprNode& node, const CompileEnv& env);
+  Operand reduction(const std::string& kind, const std::vector<Operand>& args,
+                    const Mark& start, std::int32_t pool_offset);
+
+  std::vector<Instr> code_;
+  std::vector<VarId> reads_;
+  std::vector<std::uint8_t> seen_;  // by VarId index: already in reads_
+  std::vector<Value> pool_;
+  std::uint32_t depth_ = 0;
+  std::uint32_t max_depth_ = 0;
+};
+
+Operand Emitter::binary(const ExprNode& node, const CompileEnv& env) {
+  const Mark start = mark();
+  const Operand a = compile(*node.args[0], env);
+  // Short-circuit folding before compiling the right-hand side would skip
+  // its name resolution; compile both so typos always surface.
+  const Operand b = compile(*node.args[1], env);
+  const BinOp op = binop_from_token(node.name);
+  if (a.is_const() && b.is_const()) {
+    return Operand::constant(apply(op, a.value, b.value));
+  }
+  if (op == BinOp::kAnd && ((a.is_const() && a.value == 0) ||
+                            (b.is_const() && b.value == 0))) {
+    rollback(start);
+    return Operand::constant(0);
+  }
+  if (op == BinOp::kOr && ((a.is_const() && a.value != 0) ||
+                           (b.is_const() && b.value != 0))) {
+    rollback(start);
+    return Operand::constant(1);
+  }
+  const std::uint32_t pops = (a.source == kFromStack ? 1u : 0u) +
+                             (b.source == kFromStack ? 1u : 0u);
+  emit(static_cast<Op>(binary_code(op, a.source, b.source)), a.value,
+       b.value, pops);
+  return Operand::stack(is_boolean(op));
+}
+
+Operand Emitter::ternary(const ExprNode& node, const CompileEnv& env) {
+  const Operand cond = compile(*node.args[0], env);
+  if (cond.is_const()) {
+    // Index-time branch selection: only the taken branch is compiled, so
+    // per-process expansions can guard topology accessors (e.g.
+    // `j == root() ? 0 : dist[parent(j)]`).
+    return compile(*node.args[cond.value != 0 ? 1 : 2], env);
+  }
+  push(cond);
+  const std::size_t branch = emit(Op::kJumpIfZero, 0, 0, 1, 0);
+  const std::uint32_t base = depth_;
+  const Operand then = compile(*node.args[1], env);
+  const bool boolean_arms = then.boolean;
+  if (then.source != kFromStack) {
+    // The then-arm emitted nothing, so the else-arm's code follows the
+    // branch directly.
+    const Operand otherwise = compile(*node.args[2], env);
+    const bool boolean = boolean_arms && otherwise.boolean;
+    if (otherwise.source != kFromStack) {
+      code_.resize(branch);
+      depth_ = base + 1;
+      if (cond.boolean && then.is_const() && then.value == 1 &&
+          otherwise.is_const() && otherwise.value == 0) {
+        return Operand::stack(true);  // `c ? 1 : 0` is c itself
+      }
+      push(then);
+      push(otherwise);
+      emit(Op::kSelect, 0, 0, 3);
+      return Operand::stack(boolean);
+    }
+    code_[branch].op = Op::kJumpIfNonzero;
+    const std::size_t skip = emit(Op::kJump, 0, 0, 0, 0);
+    code_[branch].a = static_cast<std::int32_t>(code_.size());
+    depth_ = base;
+    push(then);
+    code_[skip].a = static_cast<std::int32_t>(code_.size());
+    return Operand::stack(boolean);
+  }
+  const std::size_t skip = emit(Op::kJump, 0, 0, 0, 0);
+  code_[branch].a = static_cast<std::int32_t>(code_.size());
+  depth_ = base;
+  const Operand otherwise = compile(*node.args[2], env);
+  push(otherwise);
+  code_[skip].a = static_cast<std::int32_t>(code_.size());
+  return Operand::stack(boolean_arms && otherwise.boolean);
+}
+
+/// min/max/mex calls and every comprehension: `args` have all been pushed
+/// since `start`. Folds to a constant when every argument is constant, or
+/// for all/any on an absorbing constant; otherwise emits one n-ary op.
+/// first and mex comprehensions never fold: they stay state-time programs
+/// even over constant bodies.
+Operand Emitter::reduction(const std::string& kind,
+                           const std::vector<Operand>& args,
+                           const Mark& start, std::int32_t pool_offset) {
+  bool all_const = true;
+  bool const_zero = false;
+  bool const_nonzero = false;
+  for (const Operand& a : args) {
+    all_const = all_const && a.is_const();
+    const_zero = const_zero || (a.is_const() && a.value == 0);
+    const_nonzero = const_nonzero || (a.is_const() && a.value != 0);
+  }
+  const auto n = static_cast<std::int32_t>(args.size());
+  const auto nary = [&](Op op, bool boolean) {
+    emit(op, n, pool_offset, static_cast<std::uint32_t>(n));
+    return Operand::stack(boolean);
+  };
+  const auto fold = [&](long long v) {
+    rollback(start);
+    return Operand::constant(v);
+  };
   if (kind == "all") {
-    return fold(
-        1, [](long long a, long long b) { return (a != 0 && b != 0) ? 1 : 0; },
-        [](long long a) { return a == 0; });
+    if (const_zero) return fold(0);
+    return all_const ? fold(1) : nary(Op::kAll, true);
   }
   if (kind == "any") {
-    return fold(
-        0, [](long long a, long long b) { return (a != 0 || b != 0) ? 1 : 0; },
-        [](long long a) { return a != 0; });
+    if (const_nonzero) return fold(1);
+    return all_const ? fold(0) : nary(Op::kAny, true);
   }
-  if (kind == "sum") {
-    return fold(0, [](long long a, long long b) { return a + b; },
-                [](long long) { return false; });
-  }
-  if (kind == "count") {
-    return fold(0,
-                [](long long a, long long b) { return a + (b != 0 ? 1 : 0); },
-                [](long long) { return false; });
+  if (kind == "sum" || kind == "count") {
+    const bool is_sum = kind == "sum";
+    if (!all_const) return nary(is_sum ? Op::kSum : Op::kCount, false);
+    long long acc = 0;
+    for (const Operand& a : args) acc += is_sum ? a.value : (a.value != 0);
+    return fold(acc);
   }
   if (kind == "min" || kind == "max") {
-    if (bodies.empty()) {
-      throw ExprError(kind + " comprehension over an empty set");
-    }
     const bool is_min = kind == "min";
-    CompiledExpr c;
-    bool all_const = true;
-    for (const CompiledExpr& b : bodies) {
-      all_const = all_const && b.is_const;
-      merge_reads(c.reads, b.reads);
+    if (!all_const) return nary(is_min ? Op::kMin : Op::kMax, false);
+    Value acc = args[0].value;
+    for (const Operand& a : args) {
+      acc = is_min ? std::min(acc, a.value) : std::max(acc, a.value);
     }
-    if (all_const) {
-      long long acc = bodies[0].value;
-      for (const CompiledExpr& b : bodies) {
-        acc = is_min ? std::min<long long>(acc, b.value)
-                     : std::max<long long>(acc, b.value);
-      }
-      return make_const(acc);
-    }
-    c.fn = [bodies = std::move(bodies), is_min](const State& s) {
-      Value acc = bodies[0].eval(s);
-      for (std::size_t i = 1; i < bodies.size(); ++i) {
-        const Value v = bodies[i].eval(s);
-        acc = is_min ? std::min(acc, v) : std::max(acc, v);
-      }
-      return acc;
-    };
-    return c;
+    return fold(acc);
   }
-  if (kind == "first") {
-    // Value of the binder at the first element whose body holds; -1 when
-    // none does.
-    CompiledExpr c;
-    for (const CompiledExpr& b : bodies) merge_reads(c.reads, b.reads);
-    c.fn = [values, bodies = std::move(bodies)](const State& s) -> Value {
-      for (std::size_t i = 0; i < bodies.size(); ++i) {
-        if (bodies[i].eval(s) != 0) return static_cast<Value>(values[i]);
-      }
-      return -1;
-    };
-    return c;
-  }
-  if (kind == "mex") {
-    // Smallest value >= 0 different from every element's body value.
-    CompiledExpr c;
-    for (const CompiledExpr& b : bodies) merge_reads(c.reads, b.reads);
-    c.fn = [bodies = std::move(bodies)](const State& s) -> Value {
-      std::vector<Value> used;
-      used.reserve(bodies.size());
-      for (const CompiledExpr& b : bodies) used.push_back(b.eval(s));
-      for (Value v = 0;; ++v) {
-        if (std::find(used.begin(), used.end(), v) == used.end()) return v;
-      }
-    };
-    return c;
-  }
-  throw ExprError("unknown comprehension '" + kind + "'");
+  if (kind == "first") return nary(Op::kFirst, false);
+  return nary(Op::kMex, false);
 }
 
-CompiledExpr compile_call(const ExprNode& node, const CompileEnv& env) {
-  const std::string& fn = node.name;
-  // Index-time topology accessors: all arguments must fold.
-  if (fn == "next" || fn == "prev" || fn == "parent" || fn == "deg" ||
-      fn == "degree" || fn == "root" || fn == "nbr" || fn == "backidx" ||
-      fn == "nproc") {
-    const Topology& topo = require_topo(env, fn.c_str());
-    if (fn == "root") {
-      if (topo.kind != Topology::Kind::kTree) {
-        throw ExprError("root() requires a tree topology");
-      }
-      return make_const(topo.root);
-    }
-    if (fn == "nproc") return make_const(topo.n);
-    if (node.args.empty()) throw ExprError(fn + " requires arguments");
-    const long long j0 = eval_index_expr(node.args[0], env);
-    const int j = check_node(topo, j0, fn.c_str());
-    if (fn == "next" || fn == "prev") {
-      if (topo.kind != Topology::Kind::kRing) {
-        throw ExprError(fn + "(j) requires a ring topology");
-      }
-      return make_const(fn == "next" ? (j + 1) % topo.n
-                                     : (j - 1 + topo.n) % topo.n);
-    }
-    if (fn == "parent") {
-      if (topo.kind != Topology::Kind::kTree) {
-        throw ExprError("parent(j) requires a tree topology");
-      }
-      return make_const(topo.parent[static_cast<std::size_t>(j)]);
-    }
-    if (fn == "deg" || fn == "degree") {
-      return make_const(
-          static_cast<long long>(topo.nbrs[static_cast<std::size_t>(j)].size()));
-    }
-    // nbr(j, i) / backidx(j, i)
-    if (node.args.size() != 2) throw ExprError(fn + "(j, i) takes 2 args");
-    const long long i = eval_index_expr(node.args[1], env);
-    const auto& adj = topo.nbrs[static_cast<std::size_t>(j)];
-    if (i < 0 || i >= static_cast<long long>(adj.size())) {
-      throw ExprError(fn + "(" + std::to_string(j) + ", " + std::to_string(i) +
-                      "): adjacency index out of range");
-    }
-    const int k = adj[static_cast<std::size_t>(i)];
-    if (fn == "nbr") return make_const(k);
-    // backidx: position of j in k's adjacency list.
-    const auto& back = topo.nbrs[static_cast<std::size_t>(k)];
-    const auto it = std::find(back.begin(), back.end(), j);
-    if (it == back.end()) {
-      throw ExprError("backidx: topology adjacency is not symmetric");
-    }
-    return make_const(static_cast<long long>(it - back.begin()));
-  }
-
-  // State-level n-ary functions.
-  if (fn == "min" || fn == "max" || fn == "mex") {
-    if (node.args.empty()) throw ExprError(fn + "() requires arguments");
-    std::vector<CompiledExpr> args;
-    args.reserve(node.args.size());
-    bool all_const = true;
-    for (const ExprPtr& a : node.args) {
-      args.push_back(compile_expr(a, env));
-      all_const = all_const && args.back().is_const;
-    }
-    if (all_const) {
-      if (fn == "mex") {
-        std::vector<Value> used;
-        for (const CompiledExpr& a : args) used.push_back(a.value);
-        Value v = 0;
-        while (std::find(used.begin(), used.end(), v) != used.end()) ++v;
-        return make_const(v);
-      }
-      long long acc = args[0].value;
-      for (const CompiledExpr& a : args) {
-        acc = fn == "min" ? std::min<long long>(acc, a.value)
-                          : std::max<long long>(acc, a.value);
-      }
-      return make_const(acc);
-    }
-    CompiledExpr c;
-    for (const CompiledExpr& a : args) merge_reads(c.reads, a.reads);
-    if (fn == "mex") {
-      c.fn = [args = std::move(args)](const State& s) -> Value {
-        std::vector<Value> used;
-        used.reserve(args.size());
-        for (const CompiledExpr& a : args) used.push_back(a.eval(s));
-        for (Value v = 0;; ++v) {
-          if (std::find(used.begin(), used.end(), v) == used.end()) return v;
-        }
-      };
-    } else {
-      const bool is_min = fn == "min";
-      c.fn = [args = std::move(args), is_min](const State& s) {
-        Value acc = args[0].eval(s);
-        for (std::size_t i = 1; i < args.size(); ++i) {
-          const Value v = args[i].eval(s);
-          acc = is_min ? std::min(acc, v) : std::max(acc, v);
-        }
-        return acc;
-      };
-    }
-    return c;
-  }
-  throw ExprError("unknown function '" + fn + "'");
-}
-
-}  // namespace
-
-ExprPtr parse_expr(const std::string& text) {
-  return ExprParser(text).parse();
-}
-
-CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
-  if (node == nullptr) throw ExprError("null expression");
-  switch (node->kind) {
+Operand Emitter::compile(const ExprNode& node, const CompileEnv& env) {
+  switch (node.kind) {
     case ExprNode::Kind::kLit:
-      return make_const(node->lit);
+      return Operand::constant(node.lit);
 
     case ExprNode::Kind::kIdent: {
-      const std::string& name = node->name;
+      const std::string& name = node.name;
       const auto binder = env.binders.find(name);
-      if (binder != env.binders.end()) return make_const(binder->second);
+      if (binder != env.binders.end()) return Operand::constant(binder->second);
       if (env.params != nullptr) {
         const auto param = env.params->find(name);
-        if (param != env.params->end()) return make_const(param->second);
+        if (param != env.params->end()) return Operand::constant(param->second);
       }
       if (env.program != nullptr) {
         const VarId id = env.program->find_variable(name);
-        if (id.valid()) return make_var_read(id);
+        if (id.valid()) return read(id);
       }
       if (env.families != nullptr && env.families->count(name) > 0) {
         throw ExprError("'" + name +
@@ -671,93 +754,229 @@ CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
 
     case ExprNode::Kind::kSubscript: {
       if (env.families == nullptr) {
-        throw ExprError("no variable families in scope for '" + node->name +
+        throw ExprError("no variable families in scope for '" + node.name +
                         "[...]'");
       }
-      const auto family = env.families->find(node->name);
+      const auto family = env.families->find(node.name);
       if (family == env.families->end()) {
-        throw ExprError("unknown variable family '" + node->name + "'");
+        throw ExprError("unknown variable family '" + node.name + "'");
       }
-      const long long index = eval_index_expr(node->args[0], env);
+      const long long index = eval_index_expr(node.args[0], env);
       if (index < 0 ||
           index >= static_cast<long long>(family->second.size())) {
-        throw ExprError("'" + node->name + "[" + std::to_string(index) +
+        throw ExprError("'" + node.name + "[" + std::to_string(index) +
                         "]': index out of range [0, " +
                         std::to_string(family->second.size()) + ")");
       }
-      return make_var_read(family->second[static_cast<std::size_t>(index)]);
+      return read(family->second[static_cast<std::size_t>(index)]);
     }
 
-    case ExprNode::Kind::kCall:
-      return compile_call(*node, env);
+    case ExprNode::Kind::kCall: {
+      const std::string& fn = node.name;
+      if (fn == "next" || fn == "prev" || fn == "parent" || fn == "deg" ||
+          fn == "degree" || fn == "root" || fn == "nbr" || fn == "backidx" ||
+          fn == "nproc") {
+        return Operand::constant(topology_call(node, env));
+      }
+      if (fn != "min" && fn != "max" && fn != "mex") {
+        throw ExprError("unknown function '" + fn + "'");
+      }
+      if (node.args.empty()) throw ExprError(fn + "() requires arguments");
+      const Mark start = mark();
+      std::vector<Operand> args;
+      args.reserve(node.args.size());
+      for (const ExprPtr& a : node.args) {
+        args.push_back(compile(*a, env));
+        push(args.back());
+      }
+      if (fn == "mex" && std::all_of(args.begin(), args.end(),
+                                     [](const Operand& a) {
+                                       return a.is_const();
+                                     })) {
+        std::vector<Value> values;
+        for (const Operand& a : args) values.push_back(a.value);
+        rollback(start);
+        return Operand::constant(mex(values.data(), values.size()));
+      }
+      return reduction(fn, args, start, 0);
+    }
 
-    case ExprNode::Kind::kComprehension:
-      return compile_comprehension(*node, env);
+    case ExprNode::Kind::kComprehension: {
+      const std::vector<long long> values = eval_set(node.args[0], env);
+      const Mark start = mark();
+      CompileEnv inner = env;
+      std::vector<Operand> bodies;
+      bodies.reserve(values.size());
+      for (long long v : values) {
+        inner.binders[node.binder] = v;
+        bodies.push_back(compile(*node.args[1], inner));
+        push(bodies.back());
+      }
+      const std::string& kind = node.name;
+      if (kind != "all" && kind != "any" && kind != "sum" &&
+          kind != "count" && kind != "min" && kind != "max" &&
+          kind != "first" && kind != "mex") {
+        throw ExprError("unknown comprehension '" + kind + "'");
+      }
+      if ((kind == "min" || kind == "max") && bodies.empty()) {
+        throw ExprError(kind + " comprehension over an empty set");
+      }
+      const auto pool_offset = static_cast<std::int32_t>(pool_.size());
+      if (kind == "first") {
+        // Value of the binder at the first element whose body holds.
+        for (long long v : values) pool_.push_back(static_cast<Value>(v));
+      }
+      return reduction(kind, bodies, start, pool_offset);
+    }
 
     case ExprNode::Kind::kUnary: {
-      CompiledExpr a = compile_expr(node->args[0], env);
-      const bool is_not = node->name == "!";
-      if (a.is_const) {
-        return make_const(is_not ? (a.value == 0 ? 1 : 0) : -a.value);
+      const Operand a = compile(*node.args[0], env);
+      const bool is_not = node.name == "!";
+      if (a.is_const()) {
+        return Operand::constant(is_not ? (a.value == 0 ? 1 : 0)
+                                        : negate(a.value));
       }
-      CompiledExpr c;
-      c.reads = a.reads;
-      c.fn = [a = std::move(a), is_not](const State& s) -> Value {
-        const Value v = a.eval(s);
-        return is_not ? (v == 0 ? 1 : 0) : static_cast<Value>(-v);
-      };
-      return c;
+      push(a);
+      emit(is_not ? Op::kNot : Op::kNeg, 0, 0, 1);
+      return Operand::stack(is_not);
     }
 
-    case ExprNode::Kind::kBinary: {
-      CompiledExpr a = compile_expr(node->args[0], env);
-      // Short-circuit folding before compiling the right-hand side would
-      // skip its name resolution; compile both so typos always surface.
-      CompiledExpr b = compile_expr(node->args[1], env);
-      const std::string op = node->name;
-      if (a.is_const && b.is_const) {
-        return make_const(apply_binary(op, a.value, b.value));
-      }
-      if (op == "&&" && ((a.is_const && a.value == 0) ||
-                         (b.is_const && b.value == 0))) {
-        return make_const(0);
-      }
-      if (op == "||" && ((a.is_const && a.value != 0) ||
-                         (b.is_const && b.value != 0))) {
-        return make_const(1);
-      }
-      CompiledExpr c;
-      c.reads = a.reads;
-      merge_reads(c.reads, b.reads);
-      c.fn = [a = std::move(a), b = std::move(b), op](const State& s) {
-        return static_cast<Value>(apply_binary(op, a.eval(s), b.eval(s)));
-      };
-      return c;
-    }
+    case ExprNode::Kind::kBinary:
+      return binary(node, env);
 
-    case ExprNode::Kind::kTernary: {
-      CompiledExpr cond = compile_expr(node->args[0], env);
-      if (cond.is_const) {
-        // Index-time branch selection: only the taken branch is compiled,
-        // so per-process expansions can guard topology accessors (e.g.
-        // `j == root() ? 0 : dist[parent(j)]`).
-        return compile_expr(cond.value != 0 ? node->args[1] : node->args[2],
-                            env);
-      }
-      CompiledExpr then = compile_expr(node->args[1], env);
-      CompiledExpr otherwise = compile_expr(node->args[2], env);
-      CompiledExpr c;
-      c.reads = cond.reads;
-      merge_reads(c.reads, then.reads);
-      merge_reads(c.reads, otherwise.reads);
-      c.fn = [cond = std::move(cond), then = std::move(then),
-              otherwise = std::move(otherwise)](const State& s) {
-        return cond.eval(s) != 0 ? then.eval(s) : otherwise.eval(s);
-      };
-      return c;
-    }
+    case ExprNode::Kind::kTernary:
+      return ternary(node, env);
   }
   throw ExprError("corrupt expression node");
+}
+
+}  // namespace
+
+Value CompiledExpr::run(const State& s) const {
+  constexpr std::uint32_t kInlineStack = 256;
+  // Not zeroed: a postfix program writes every slot before reading it.
+  Value inline_stack[kInlineStack];
+  Value* sp = inline_stack;
+  if (max_stack > kInlineStack) {
+    thread_local std::vector<Value> deep;
+    if (deep.size() < max_stack) deep.resize(max_stack);
+    sp = deep.data();
+  }
+  const Value* vars = s.values().data();
+  const Instr* const begin = code.data();
+  const Instr* const end = begin + code.size();
+  for (const Instr* ip = begin; ip != end;) {
+    const Instr& in = *ip++;
+    switch (code_of(in.op)) {
+      case code_of(Op::kConst): *sp++ = in.a; break;
+      case code_of(Op::kLoad): *sp++ = vars[in.a]; break;
+      case code_of(Op::kNeg): sp[-1] = negate(sp[-1]); break;
+      case code_of(Op::kNot): sp[-1] = sp[-1] == 0 ? 1 : 0; break;
+      case code_of(Op::kSelect):
+        sp -= 2;
+        sp[-1] = sp[-1] != 0 ? sp[0] : sp[1];
+        break;
+      case code_of(Op::kJumpIfZero):
+        if (*--sp == 0) ip = begin + in.a;
+        break;
+      case code_of(Op::kJumpIfNonzero):
+        if (*--sp != 0) ip = begin + in.a;
+        break;
+      case code_of(Op::kJump): ip = begin + in.a; break;
+      case code_of(Op::kSum):
+      case code_of(Op::kCount): {
+        sp -= in.a;
+        long long acc = 0;
+        for (std::int32_t i = 0; i < in.a; ++i) {
+          acc += in.op == Op::kSum ? sp[i] : (sp[i] != 0);
+        }
+        *sp++ = static_cast<Value>(acc);
+        break;
+      }
+      case code_of(Op::kAll):
+        sp -= in.a;
+        *sp = std::find(sp, sp + in.a, 0) == sp + in.a ? 1 : 0;
+        ++sp;
+        break;
+      case code_of(Op::kAny):
+        sp -= in.a;
+        *sp = std::find_if(sp, sp + in.a, [](Value v) { return v != 0; }) ==
+                      sp + in.a
+                  ? 0
+                  : 1;
+        ++sp;
+        break;
+      case code_of(Op::kMin):
+      case code_of(Op::kMax): {
+        sp -= in.a;
+        Value acc = sp[0];
+        for (std::int32_t i = 1; i < in.a; ++i) {
+          acc = in.op == Op::kMin ? std::min(acc, sp[i]) : std::max(acc, sp[i]);
+        }
+        *sp++ = acc;
+        break;
+      }
+      case code_of(Op::kMex):
+        sp -= in.a;
+        *sp = mex(sp, static_cast<std::size_t>(in.a));
+        ++sp;
+        break;
+      case code_of(Op::kFirst): {
+        sp -= in.a;
+        Value found = -1;
+        for (std::int32_t i = 0; i < in.a; ++i) {
+          if (sp[i] != 0) {
+            found = pool[static_cast<std::size_t>(in.b + i)];
+            break;
+          }
+        }
+        *sp++ = found;
+        break;
+      }
+#define NONMASK_BINARY_CASES(name, token, expr)                            \
+  case binary_code(BinOp::name, kFromStack, kFromStack):                   \
+    --sp;                                                                  \
+    sp[-1] = apply(BinOp::name, sp[-1], sp[0]);                            \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromStack, kFromVar):                     \
+    sp[-1] = apply(BinOp::name, sp[-1], vars[in.b]);                       \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromStack, kFromConst):                   \
+    sp[-1] = apply(BinOp::name, sp[-1], in.b);                             \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromVar, kFromStack):                     \
+    sp[-1] = apply(BinOp::name, vars[in.a], sp[-1]);                       \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromConst, kFromStack):                   \
+    sp[-1] = apply(BinOp::name, in.a, sp[-1]);                             \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromVar, kFromVar):                       \
+    *sp++ = apply(BinOp::name, vars[in.a], vars[in.b]);                    \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromVar, kFromConst):                     \
+    *sp++ = apply(BinOp::name, vars[in.a], in.b);                          \
+    break;                                                                 \
+  case binary_code(BinOp::name, kFromConst, kFromVar):                     \
+    *sp++ = apply(BinOp::name, in.a, vars[in.b]);                          \
+    break;
+      NONMASK_SPEC_BINARY_OPS(NONMASK_BINARY_CASES)
+#undef NONMASK_BINARY_CASES
+      default:
+        break;
+    }
+  }
+  return sp[-1];
+}
+
+ExprPtr parse_expr(const std::string& text) {
+  return ExprParser(text).parse();
+}
+
+CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
+  if (node == nullptr) throw ExprError("null expression");
+  Emitter emitter;
+  const Operand result = emitter.compile(*node, env);
+  return emitter.finish(result);
 }
 
 long long eval_index_expr(const ExprPtr& node, const CompileEnv& env) {
@@ -773,5 +992,7 @@ long long eval_index_expr(const ExprPtr& node, const CompileEnv& env) {
 long long eval_index_expr(const std::string& text, const CompileEnv& env) {
   return eval_index_expr(parse_expr(text), env);
 }
+
+#undef NONMASK_SPEC_BINARY_OPS
 
 }  // namespace nonmask::spec

@@ -11,9 +11,11 @@
 //    expanded over its topology. Any subexpression referencing no program
 //    variable constant-folds, so `j == root() ? 0 : dist[j]` picks its
 //    branch statically per process.
-//  * state time — what remains compiles to a closure over core::State,
-//    with the referenced VarIds collected in first-occurrence order (the
-//    derived read set of actions and the support of constraints).
+//  * state time — what remains compiles to a flat postfix bytecode over
+//    core::State (see `Op`), run by one interpreter loop with a value
+//    stack sized at compile time, with the referenced VarIds collected in
+//    first-occurrence order (the derived read set of actions and the
+//    support of constraints).
 //
 // Grammar (precedence low to high):
 //   ternary := or ('?' ternary ':' ternary)?
@@ -28,8 +30,10 @@
 //   args    := '' | ternary (',' ternary)*
 //            | IDENT ':' ternary ',' ternary     -- comprehension
 //
-// Booleans are ints (0 = false); comparisons yield 0/1. `/` and `%` by
-// zero evaluate to 0 (total semantics, documented in docs/SPEC.md).
+// Booleans are ints (0 = false); comparisons yield 0/1. Every operator
+// computes in 64 bits and wraps its result to the int32 Value, at index
+// time and at state time alike. `/` and `%` by zero evaluate to 0 (total
+// semantics, documented in docs/SPEC.md).
 // Identifiers may contain '.' after the first character, so fully expanded
 // specs can reference per-process instances like `x.3` or `env.noise`
 // directly. Comprehensions — `all|any|sum|count|min|max|first|mex(k : SET,
@@ -37,7 +41,7 @@
 // `children(j)` — are unrolled at expansion time over the topology.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -107,15 +111,59 @@ struct CompileEnv {
       nullptr;
 };
 
-/// A compiled state expression: either a constant or a closure, plus the
-/// VarIds it reads in first-occurrence order (deduplicated).
+/// Opcodes of the state-time bytecode. A program is postfix: every
+/// instruction pops its stack operands and pushes one result, so a whole
+/// expression leaves exactly one value. `a` and `b` are the instruction's
+/// immediates.
+enum class Op : std::uint8_t {
+  kConst,          ///< push a
+  kLoad,           ///< push s[a]
+  kNeg,            ///< top = -top
+  kNot,            ///< top = top == 0
+  kSelect,         ///< pop c, t, e; push c != 0 ? t : e (branch-free)
+  kJumpIfZero,     ///< pop c; if c == 0 jump to instruction a
+  kJumpIfNonzero,  ///< pop c; if c != 0 jump to instruction a
+  kJump,           ///< jump to instruction a
+  // n-ary reductions over the top a values (in push order), popped and
+  // replaced by the result. sum and count accumulate in 64 bits.
+  kSum,
+  kCount,
+  kAll,
+  kAny,
+  kMin,
+  kMax,
+  kMex,
+  kFirst,  ///< pool[b + i] for the first nonzero value i, else -1
+  /// First binary opcode. Binary opcode = kBinary + 9 * op + 3 * lhs + rhs:
+  /// `op` indexes the operator table in expr.cpp, and each operand comes
+  /// from the stack (0), variable s[a] or s[b] (1), or constant a or b (2).
+  /// Stack operands are popped, left below right.
+  kBinary,
+};
+
+/// One bytecode instruction: an opcode and its two immediates.
+struct Instr {
+  Op op = Op::kConst;
+  std::int32_t a = 0;
+  std::int32_t b = 0;
+};
+
+/// A compiled state expression: either a constant or a bytecode program,
+/// plus the VarIds it reads in first-occurrence order (deduplicated).
 struct CompiledExpr {
   bool is_const = false;
   Value value = 0;
-  std::function<Value(const State&)> fn;
+  std::vector<Instr> code;
+  std::vector<Value> pool;      ///< kFirst's binder values
+  std::uint32_t max_stack = 0;  ///< deepest value stack `code` reaches
   std::vector<VarId> reads;
 
-  Value eval(const State& s) const { return is_const ? value : fn(s); }
+  Value eval(const State& s) const { return is_const ? value : run(s); }
+
+  /// Run `code` against `s`. Allocates nothing: the value stack lives on
+  /// the C++ stack, or for very deep programs in a per-thread buffer that
+  /// only ever grows.
+  Value run(const State& s) const;
 };
 
 /// Compile against `env`; throws ExprError on unknown names, non-constant

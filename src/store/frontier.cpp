@@ -311,6 +311,7 @@ std::uint64_t FrontierEngine::backward_distances(
             unsigned worker) {
           (void)worker;
           OdometerCursor cur(space, lo);
+          State next(p.num_variables());
           auto& out = hits[chunk];
           for (std::uint64_t code = lo; code < hi; ++code) {
             if (round == 0) {
@@ -320,7 +321,9 @@ std::uint64_t FrontierEngine::backward_distances(
               for (std::size_t idx : actions) {
                 const Action& a = p.action(idx);
                 if (!a.enabled(s)) continue;
-                if (dist.known(space.encode(a.apply(s)))) {
+                next = s;
+                a.execute(next);
+                if (dist.known(space.encode(next))) {
                   out.push_back(code);
                   break;
                 }

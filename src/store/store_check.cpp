@@ -39,6 +39,7 @@ ClosureReport scan_closure_range_odometer(
   const Program& p = space.program();
   ClosureReport report;
   OdometerCursor cur(space, begin);
+  State next(p.num_variables());
   for (std::uint64_t code = begin; code < end; ++code) {
     const State& s = cur.state();
     if (predicate(s)) {
@@ -47,10 +48,11 @@ ClosureReport scan_closure_range_odometer(
         const Action& a = p.action(idx);
         if (!a.enabled(s)) continue;
         ++report.transitions_checked;
-        State next = a.apply(s);
+        next = s;
+        a.execute(next);
         if (!predicate(next)) {
           report.closed = false;
-          report.violation = ClosureViolation{s, idx, std::move(next)};
+          report.violation = ClosureViolation{s, idx, next};
           return report;
         }
       }

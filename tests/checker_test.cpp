@@ -1,6 +1,10 @@
 // Unit tests for the explicit-state checker: state spaces, closure checks,
 // exact (unfair) and weakly-fair convergence checks, preserves obligations,
 // and variant extraction.
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "checker/closure_check.hpp"
@@ -200,6 +204,51 @@ TEST(ConvergenceTest, WeaklyFairDetectsDeadlock) {
       space, [x](const State& s) { return s.get(x) == 0; }, true_predicate());
   EXPECT_EQ(report.verdict, ConvergenceVerdict::kViolated);
   EXPECT_TRUE(report.deadlock.has_value());
+}
+
+TEST(ProgramSuccessorsTest, ReusedScratchLeaksNothingBetweenCalls) {
+  ProgramBuilder b("p");
+  const VarId a = b.var("a", 0, 3);
+  const VarId c = b.var("c", 0, 2);
+  const VarId d = b.var("d", 0, 1);
+  b.closure("inc", [a](const State& s) { return s.get(a) < 3; },
+            [a](State& s) { s.set(a, s.get(a) + 1); }, {a}, {a});
+  // Declares writes {c} but also flips d: successors must still be computed
+  // from a fresh copy of the decoded state on every call.
+  b.convergence(
+      "rogue", [](const State&) { return true; },
+      [c, d](State& s) {
+        s.set(c, (s.get(c) + 1) % 3);
+        s.set(d, 1 - s.get(d));
+      },
+      {c, d}, {c}, -1);
+  b.closure("copy", [a, c](const State& s) { return s.get(c) != s.get(a); },
+            [a, c](State& s) { s.set(c, std::min(s.get(a), 2)); }, {a, c},
+            {c});
+  b.closure("never", [](const State&) { return false; },
+            [a](State& s) { s.set(a, 0); }, {}, {a});
+  const Program p = b.build();
+  const StateSpace space(p);
+  std::vector<std::size_t> actions{0, 1, 2, 3};
+  ProgramSuccessors succ(space, actions);
+
+  std::vector<std::uint64_t> order(space.size());
+  for (std::uint64_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::mt19937_64 rng(7);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<std::uint64_t> got;
+  for (std::uint64_t code : order) {
+    succ.successors(code, got);
+    std::vector<std::uint64_t> expect;
+    const State s = space.decode(code);
+    for (std::size_t idx : actions) {
+      const Action& act = p.action(idx);
+      if (act.enabled(s)) expect.push_back(space.encode(act.apply(s)));
+    }
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    EXPECT_EQ(got, expect) << "code " << code;
+  }
 }
 
 TEST(PreservesTest, ExhaustivePassAndFail) {

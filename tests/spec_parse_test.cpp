@@ -2,6 +2,7 @@
 // total `/`-and-`%`-by-zero semantics), schema validation with
 // field-precise paths and lines, and compile-time expansion semantics
 // (per-process families, {j} names, group interleaving, derived reads).
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -143,6 +144,80 @@ TEST(SpecExprTest, ConstantSubexpressionsFold) {
   EXPECT_TRUE(ce.is_const);
   EXPECT_EQ(ce.value, 9);
   EXPECT_TRUE(ce.reads.empty());
+}
+
+TEST(SpecExprTest, UnaryMinusWrapsAtTheInt32Edge) {
+  // -INT32_MIN is not an int32: negation computes in 64 bits and wraps,
+  // like every other operator, at index time and at state time alike.
+  EXPECT_EQ(idx("-2147483648"), -2147483648LL);
+  EXPECT_EQ(idx("-(0 - 2147483647 - 1)"), -2147483648LL);
+  EXPECT_EQ(idx("- -2147483648"), -2147483648LL);
+  EXPECT_EQ(idx("2147483647 + 1"), -2147483648LL);
+  Program p("t");
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const VarId x = p.add_variable(VariableSpec("x", kMin, kMax));
+  CompileEnv env;
+  std::unordered_map<std::string, long long> params;
+  env.params = &params;
+  env.program = &p;
+  const auto neg = compile_expr(parse_expr("-x"), env);
+  const auto neg_sum = compile_expr(parse_expr("-(x + 0 * x)"), env);
+  State s(1);
+  s.set(x, kMin);
+  EXPECT_EQ(neg.eval(s), kMin);
+  EXPECT_EQ(neg_sum.eval(s), kMin);
+  s.set(x, kMax);
+  EXPECT_EQ(neg.eval(s), -kMax);
+}
+
+TEST(SpecExprTest, BytecodeFusesLoadsAndElidesBooleanTernaries) {
+  Program p("t");
+  const VarId x = p.add_variable(VariableSpec("x", 0, 7));
+  const VarId y = p.add_variable(VariableSpec("y", 0, 7));
+  CompileEnv env;
+  std::unordered_map<std::string, long long> params;
+  env.params = &params;
+  env.program = &p;
+  auto compiled = [&](const std::string& text) {
+    return compile_expr(parse_expr(text), env);
+  };
+  EXPECT_EQ(compiled("x != y").code.size(), 1u);       // var op var
+  EXPECT_EQ(compiled("x + 1").code.size(), 1u);        // var op const
+  EXPECT_EQ(compiled("(x == y ? 1 : 0)").code.size(), 1u);
+  EXPECT_EQ(compiled("x").code.size(), 1u);
+  State s(2);
+  s.set(x, 3);
+  s.set(y, 5);
+  EXPECT_EQ(compiled("x < y ? x : y").eval(s), 3);  // branch-free select
+  EXPECT_EQ(compiled("x > y ? x * 2 : y + 1").eval(s), 6);
+  EXPECT_EQ(compiled("x < y ? x : y * 2").eval(s), 3);
+  EXPECT_EQ(compiled("x > y ? x : y * 2").eval(s), 10);
+  EXPECT_EQ(compiled("x ? 1 : 0").eval(s), 1);  // non-boolean condition
+  EXPECT_EQ(compiled("x - y").eval(s), -2);
+  EXPECT_EQ(compiled("10 - x").eval(s), 7);
+  EXPECT_EQ(compiled("10 - (x * y)").eval(s), -5);
+  EXPECT_EQ(compiled("(x * y) - y").eval(s), 10);
+  // An operand folded away by && / || takes its reads with it.
+  const auto folded = compiled("(x + y > 2) && 0");
+  EXPECT_TRUE(folded.is_const);
+  EXPECT_TRUE(folded.reads.empty());
+}
+
+TEST(SpecExprTest, DeepStackProgramsEvaluate) {
+  // 300 pending sum operands exceed the interpreter's inline stack.
+  Program p("t");
+  const VarId x = p.add_variable(VariableSpec("x", 0, 7));
+  CompileEnv env;
+  std::unordered_map<std::string, long long> params;
+  env.params = &params;
+  env.program = &p;
+  const auto ce =
+      compile_expr(parse_expr("sum(k : range(0, 300), x + k)"), env);
+  EXPECT_GE(ce.max_stack, 300u);
+  State s(1);
+  s.set(x, 2);
+  EXPECT_EQ(ce.eval(s), 2 * 300 + 299 * 300 / 2);
 }
 
 // --- schema validation ----------------------------------------------------
