@@ -121,11 +121,16 @@ RunResult Simulator::run(State start, const RunOptions& opts) {
   }
   result.final_state = std::move(s);
   if (obs::Metrics::enabled()) {
+    // One run per campaign trial: resolve the counters once, not per run.
     auto& registry = obs::Registry::instance();
-    registry.counter("engine.sim.runs").add(1);
-    registry.counter("engine.sim.steps").add(result.steps);
-    registry.counter("engine.sim.moves").add(result.moves);
-    registry.counter("engine.sim.rounds").add(result.rounds);
+    static obs::Counter& runs = registry.counter("engine.sim.runs");
+    static obs::Counter& steps = registry.counter("engine.sim.steps");
+    static obs::Counter& moves = registry.counter("engine.sim.moves");
+    static obs::Counter& rounds = registry.counter("engine.sim.rounds");
+    runs.add(1);
+    steps.add(result.steps);
+    moves.add(result.moves);
+    rounds.add(result.rounds);
   }
   return result;
 }

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "obs/span.hpp"
 
 namespace nonmask::obs {
@@ -258,8 +258,8 @@ void render_line_chart(std::ostream& out, const ChartDef& def,
   out << "],\"series\":[";
   for (std::size_t si = 0; si < def.series.size(); ++si) {
     if (si != 0) out << ',';
-    out << "{\"name\":\"" << json_escape(def.series[si].name)
-        << "\",\"y\":[";
+    out << "{\"name\":" << util::json_quote(def.series[si].name)
+        << ",\"y\":[";
     for (std::size_t i = 0; i < def.series[si].y.size(); ++i) {
       if (i != 0) out << ',';
       out << fmt(def.series[si].y[i], 3);
@@ -685,7 +685,9 @@ void write_dashboard_html(std::ostream& out, const DashboardSpec& spec) {
                         xs);
     }
     const std::vector<double> spill = collect(
-        [](const HeartbeatSample& s) { return s.frontier_spill_bytes; });
+        [](const HeartbeatSample& s) {
+          return s.counter("frontier_spill_bytes");
+        });
     if (any_nonzero(spill)) {
       render_line_chart(
           out, {"Frontier spill (cumulative)", Unit::kBytes, {{"bytes", spill}}},
@@ -701,24 +703,18 @@ void write_dashboard_html(std::ostream& out, const DashboardSpec& spec) {
     render_data_table(out, table);
   }
   if (last != nullptr) {
-    std::vector<std::pair<std::string, std::string>> rows = {
-        {"set probes", with_commas(last->set_probes)},
-        {"set grows", with_commas(last->set_grows)},
-        {"set CAS retries", with_commas(last->set_cas_retries)},
-        {"arena slab allocs", with_commas(last->arena_slab_allocs)},
-        {"arena slab bytes",
-         human_bytes(static_cast<double>(last->arena_slab_bytes))},
-        {"frontier spill flushes", with_commas(last->frontier_spill_flushes)},
-        {"frontier spill bytes",
-         human_bytes(static_cast<double>(last->frontier_spill_bytes))},
-        {"frontier levels", with_commas(last->frontier_levels)},
-        {"frontier merge rounds", with_commas(last->frontier_merge_rounds)},
-        {"campaign trials", with_commas(last->campaign_trials)},
-        {"campaign retries", with_commas(last->campaign_retries)},
-        {"campaign timeouts", with_commas(last->campaign_timeouts)},
-        {"live workers at stop", std::to_string(last->workers)},
-    };
-    render_kv_table(out, "Depth counters (final heartbeat)", rows);
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (std::size_t i = 0; i < kHeartbeatCounters.size(); ++i) {
+      std::string label = kHeartbeatCounters[i];
+      std::replace(label.begin(), label.end(), '_', ' ');
+      const std::uint64_t value = last->counters[i];
+      const bool bytes = label.ends_with(" bytes");
+      rows.emplace_back(std::move(label),
+                        bytes ? human_bytes(static_cast<double>(value))
+                              : with_commas(value));
+    }
+    rows.emplace_back("live workers at stop", std::to_string(last->workers));
+    render_kv_table(out, "Counters (final heartbeat)", rows);
     if (!last->sets.empty()) {
       out << "<div class=\"card\">\n<h3>Visited sets (final heartbeat)</h3>\n"
           << "<table>\n<tr><th class=\"num\">shards</th>"

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
 namespace nonmask::obs {
@@ -14,7 +15,7 @@ namespace nonmask::obs {
 namespace {
 
 /// Labels whose add() units are explored states — the meters that feed the
-/// cumulative states_explored depth counter. "flags" is deliberately
+/// cumulative states_explored registry counter. "flags" is deliberately
 /// absent: the flags pass precedes the DFS/SCC pass over the same codes,
 /// and counting both would double every state.
 bool is_explored_label(const char* label) {
@@ -26,6 +27,11 @@ bool is_explored_label(const char* label) {
     if (std::strcmp(label, candidate) == 0) return true;
   }
   return false;
+}
+
+Counter& states_explored_counter() {
+  static Counter& counter = Registry::instance().counter("states_explored");
+  return counter;
 }
 
 std::atomic<std::ostream*> g_sink{nullptr};
@@ -102,9 +108,9 @@ void Progress::write_line(const char* label, std::uint64_t done,
 
 ProgressMeter::ProgressMeter(const char* label, std::uint64_t total) noexcept
     : label_(label), total_(total) {
-  telemetry_ = Telemetry::counting();
+  telemetry_ = Metrics::enabled();
   if (telemetry_) {
-    explored_ = is_explored_label(label);
+    if (is_explored_label(label)) explored_ = &states_explored_counter();
     Telemetry::register_meter(this);
   }
   if (!Progress::active() && !telemetry_) return;
@@ -121,9 +127,7 @@ void ProgressMeter::add(std::uint64_t n) noexcept {
   const bool progress = Progress::active();
   if (!progress && !telemetry_) return;
   done_.fetch_add(n, std::memory_order_relaxed);
-  if (telemetry_ && explored_) {
-    Telemetry::depth().states_explored.fetch_add(n, std::memory_order_relaxed);
-  }
+  if (explored_ != nullptr) explored_->add(n);
   if (progress) maybe_report(false);
 }
 

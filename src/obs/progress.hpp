@@ -10,11 +10,11 @@
 // elects one reporting thread by compare-exchange.
 //
 // Meters double as the telemetry sampler's work-progress source: when
-// Telemetry::counting() is true at construction, the meter registers
-// itself, keeps done_ accumulating even without a progress sink, and — if
-// its label names a state-exploration pass — feeds the process-wide
-// states_explored depth counter. With both progress and telemetry off the
-// cost of add() is unchanged (one relaxed load plus a member test).
+// Metrics::enabled() is true at construction, the meter registers itself,
+// keeps done_ accumulating even without a progress sink, and — if its
+// label names a state-exploration pass — feeds the states_explored registry
+// counter. With both progress and metrics off the cost of add() is
+// unchanged (one relaxed load plus a member test).
 #pragma once
 
 #include <atomic>
@@ -23,6 +23,7 @@
 
 namespace nonmask::obs {
 
+class Counter;
 struct MeterSample;
 
 /// Process-wide progress configuration.
@@ -71,8 +72,8 @@ class ProgressMeter {
 
   const char* label_;
   std::uint64_t total_;
-  bool telemetry_ = false;  ///< Telemetry::counting() at construction
-  bool explored_ = false;   ///< label counts explored states
+  bool telemetry_ = false;       ///< Metrics::enabled() at construction
+  Counter* explored_ = nullptr;  ///< states_explored, for exploration labels
   std::atomic<std::uint64_t> done_{0};
   std::uint64_t start_us_ = 0;
   std::atomic<std::uint64_t> last_report_us_{0};

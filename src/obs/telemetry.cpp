@@ -9,9 +9,11 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/rss.hpp"
+#include "parallel/thread_pool.hpp"
+#include "util/json.hpp"
 
 namespace nonmask::obs {
 
@@ -25,13 +27,14 @@ std::uint64_t wall_us() {
 }
 
 struct TelemetryState {
-  std::atomic<bool> counting{false};
-  DepthCounters depth;
-
   std::mutex mutex;  // guards everything below
   std::condition_variable cv;
   bool running = false;
   bool stop_requested = false;
+  bool metrics_before_start = false;  // Metrics::enabled() restored by stop
+  // Resolved by start(): the sampler never looks counters up by name.
+  Counter* states_explored = nullptr;
+  std::array<Counter*, kHeartbeatCounters.size()> counters{};
   std::thread sampler;
   TelemetryOptions opts;
   std::ofstream out;
@@ -66,7 +69,7 @@ HeartbeatSample sample_locked(TelemetryState& s) {
   const std::uint64_t now_us = wall_us();
   hb.seq = s.seq++;
   hb.t_ms = (now_us - s.start_us) / 1000;
-  hb.states_explored = s.depth.states_explored.load(std::memory_order_relaxed);
+  hb.states_explored = s.states_explored->value();
   const std::uint64_t dt_us = now_us - s.prev_t_us;
   hb.states_per_sec =
       dt_us == 0 ? 0.0
@@ -76,26 +79,10 @@ HeartbeatSample sample_locked(TelemetryState& s) {
   s.prev_t_us = now_us;
   hb.rss_mb = current_rss_mb();
   hb.peak_rss_mb = peak_rss_mb();
-  hb.workers = s.depth.workers_live.load(std::memory_order_relaxed);
-  hb.set_probes = s.depth.set_probes.load(std::memory_order_relaxed);
-  hb.set_grows = s.depth.set_grows.load(std::memory_order_relaxed);
-  hb.set_cas_retries = s.depth.set_cas_retries.load(std::memory_order_relaxed);
-  hb.arena_slab_allocs =
-      s.depth.arena_slab_allocs.load(std::memory_order_relaxed);
-  hb.arena_slab_bytes =
-      s.depth.arena_slab_bytes.load(std::memory_order_relaxed);
-  hb.frontier_spill_flushes =
-      s.depth.frontier_spill_flushes.load(std::memory_order_relaxed);
-  hb.frontier_spill_bytes =
-      s.depth.frontier_spill_bytes.load(std::memory_order_relaxed);
-  hb.frontier_levels = s.depth.frontier_levels.load(std::memory_order_relaxed);
-  hb.frontier_merge_rounds =
-      s.depth.frontier_merge_rounds.load(std::memory_order_relaxed);
-  hb.campaign_trials = s.depth.campaign_trials.load(std::memory_order_relaxed);
-  hb.campaign_retries =
-      s.depth.campaign_retries.load(std::memory_order_relaxed);
-  hb.campaign_timeouts =
-      s.depth.campaign_timeouts.load(std::memory_order_relaxed);
+  hb.workers = ThreadPool::live_workers();
+  for (std::size_t i = 0; i < hb.counters.size(); ++i) {
+    hb.counters[i] = s.counters[i]->value();
+  }
   for (const ProgressMeter* meter : s.meters) {
     MeterSample ms;
     meter->sample_into(ms);
@@ -129,9 +116,16 @@ void sampler_loop() {
 
 }  // namespace
 
+std::uint64_t HeartbeatSample::counter(std::string_view name) const noexcept {
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    if (name == kHeartbeatCounters[i]) return counters[i];
+  }
+  return 0;
+}
+
 std::string to_json(const HeartbeatSample& hb) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("seq");
   w.value(hb.seq);
@@ -151,30 +145,10 @@ std::string to_json(const HeartbeatSample& hb) {
   w.value(static_cast<std::int64_t>(hb.workers));
   w.key("counters");
   w.begin_object();
-  w.key("set_probes");
-  w.value(hb.set_probes);
-  w.key("set_grows");
-  w.value(hb.set_grows);
-  w.key("set_cas_retries");
-  w.value(hb.set_cas_retries);
-  w.key("arena_slab_allocs");
-  w.value(hb.arena_slab_allocs);
-  w.key("arena_slab_bytes");
-  w.value(hb.arena_slab_bytes);
-  w.key("frontier_spill_flushes");
-  w.value(hb.frontier_spill_flushes);
-  w.key("frontier_spill_bytes");
-  w.value(hb.frontier_spill_bytes);
-  w.key("frontier_levels");
-  w.value(hb.frontier_levels);
-  w.key("frontier_merge_rounds");
-  w.value(hb.frontier_merge_rounds);
-  w.key("campaign_trials");
-  w.value(hb.campaign_trials);
-  w.key("campaign_retries");
-  w.value(hb.campaign_retries);
-  w.key("campaign_timeouts");
-  w.value(hb.campaign_timeouts);
+  for (std::size_t i = 0; i < hb.counters.size(); ++i) {
+    w.key(kHeartbeatCounters[i]);
+    w.value(hb.counters[i]);
+  }
   w.end_object();
   w.key("meters");
   w.begin_array();
@@ -234,15 +208,21 @@ void Telemetry::start(const TelemetryOptions& opts) {
                                opts.path);
     }
   }
+  Registry& registry = Registry::instance();
+  s.states_explored = &registry.counter("states_explored");
+  for (std::size_t i = 0; i < s.counters.size(); ++i) {
+    s.counters[i] = &registry.counter(kHeartbeatCounters[i]);
+  }
   s.opts = opts;
   s.running = true;
   s.stop_requested = false;
   s.start_us = wall_us();
   s.seq = 0;
-  s.prev_states = s.depth.states_explored.load(std::memory_order_relaxed);
+  s.prev_states = s.states_explored->value();
   s.prev_t_us = s.start_us;
   s.series.clear();
-  s.counting.store(true, std::memory_order_relaxed);
+  s.metrics_before_start = Metrics::enabled();
+  Metrics::set_enabled(true);
   s.sampler = std::thread(sampler_loop);
 }
 
@@ -273,7 +253,7 @@ void Telemetry::stop() {
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     sample_locked(s);  // final heartbeat: cumulative count == report count
-    s.counting.store(false, std::memory_order_relaxed);
+    Metrics::set_enabled(s.metrics_before_start);
     s.running = false;
     if (s.out.is_open()) s.out.close();
   }
@@ -284,12 +264,6 @@ bool Telemetry::running() noexcept {
   std::lock_guard<std::mutex> lock(s.mutex);
   return s.running;
 }
-
-bool Telemetry::counting() noexcept {
-  return state().counting.load(std::memory_order_relaxed);
-}
-
-DepthCounters& Telemetry::depth() noexcept { return state().depth; }
 
 HeartbeatSample Telemetry::sample_now() {
   TelemetryState& s = state();

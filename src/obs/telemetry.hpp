@@ -6,16 +6,18 @@
 // 4-minute run is visible instead of averaged away by the end-of-run
 // report.
 //
-// Cost model (the same contract as obs/metrics.hpp): telemetry is off by
-// default, and every depth-counter site in the store/parallel layers first
-// reads one relaxed atomic flag (Telemetry::counting) and returns. The
-// sampler thread only exists between start() and stop(). Enable with
-// NONMASK_TELEMETRY=<jsonl-path> (interval via NONMASK_TELEMETRY_MS,
-// default 200) or programmatically with TelemetryOptions — an empty path
-// keeps the series in memory only, which is how --dashboard-out runs
-// collect their data without touching disk.
+// Counters. A heartbeat's "counters" object is read from the metrics
+// registry (obs/metrics.hpp): each key in kHeartbeatCounters is a registry
+// counter of that name, as is states_explored, so heartbeats and run
+// reports share one vocabulary. Every site is gated by Metrics::enabled();
+// start() turns collection on and stop() restores the switch to its value
+// before start(). The sampler thread only exists between start() and
+// stop(). Enable with NONMASK_TELEMETRY=<jsonl-path> (interval via
+// NONMASK_TELEMETRY_MS, default 200) or programmatically with
+// TelemetryOptions — an empty path keeps the series in memory only, which
+// is how --dashboard-out runs collect their data without touching disk.
 //
-// Samplable objects register themselves while telemetry is counting:
+// Samplable objects register themselves while metrics are enabled:
 // ProgressMeter registers in its constructor (progress.hpp) so the sampler
 // can read done/total/aux without cooperation from the meter's owner, and
 // ConcurrentPackedSet implements SetTelemetrySource. Set registration is
@@ -23,9 +25,10 @@
 // also feeds the run-report store section when telemetry is off.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,25 +36,21 @@ namespace nonmask::obs {
 
 class ProgressMeter;
 
-/// Relaxed-atomic depth counters fed by the store and parallel layers.
-/// Every site is gated on Telemetry::counting() except workers_live,
-/// which ThreadPool maintains unconditionally (one RMW per pool lifetime)
-/// so a sampler started mid-run never underflows it.
-struct DepthCounters {
-  std::atomic<std::uint64_t> states_explored{0};   ///< fed by ProgressMeter
-  std::atomic<std::uint64_t> set_probes{0};        ///< linear-probe steps
-  std::atomic<std::uint64_t> set_grows{0};         ///< shard table doublings
-  std::atomic<std::uint64_t> set_cas_retries{0};   ///< lost shard-touch races
-  std::atomic<std::uint64_t> arena_slab_allocs{0};
-  std::atomic<std::uint64_t> arena_slab_bytes{0};
-  std::atomic<std::uint64_t> frontier_spill_flushes{0};
-  std::atomic<std::uint64_t> frontier_spill_bytes{0};
-  std::atomic<std::uint64_t> frontier_levels{0};       ///< forward BFS levels
-  std::atomic<std::uint64_t> frontier_merge_rounds{0}; ///< backward rounds
-  std::atomic<std::uint64_t> campaign_trials{0};
-  std::atomic<std::uint64_t> campaign_retries{0};
-  std::atomic<std::uint64_t> campaign_timeouts{0};
-  std::atomic<std::int64_t> workers_live{0};
+/// Registry counters carried in a heartbeat's "counters" object, in the
+/// schema's key order.
+inline constexpr std::array<const char*, 12> kHeartbeatCounters = {
+    "set_probes",
+    "set_grows",
+    "set_cas_retries",
+    "arena_slab_allocs",
+    "arena_slab_bytes",
+    "frontier_spill_flushes",
+    "frontier_spill_bytes",
+    "frontier_levels",
+    "frontier_merge_rounds",
+    "campaign_trials",
+    "campaign_retries",
+    "campaign_timeouts",
 };
 
 /// One registered ProgressMeter, as seen by the sampler.
@@ -94,20 +93,13 @@ struct HeartbeatSample {
   double rss_mb = 0.0;
   double peak_rss_mb = 0.0;
   std::int64_t workers = 0;
-  std::uint64_t set_probes = 0;
-  std::uint64_t set_grows = 0;
-  std::uint64_t set_cas_retries = 0;
-  std::uint64_t arena_slab_allocs = 0;
-  std::uint64_t arena_slab_bytes = 0;
-  std::uint64_t frontier_spill_flushes = 0;
-  std::uint64_t frontier_spill_bytes = 0;
-  std::uint64_t frontier_levels = 0;
-  std::uint64_t frontier_merge_rounds = 0;
-  std::uint64_t campaign_trials = 0;
-  std::uint64_t campaign_retries = 0;
-  std::uint64_t campaign_timeouts = 0;
+  /// Values of kHeartbeatCounters, index for index.
+  std::array<std::uint64_t, kHeartbeatCounters.size()> counters{};
   std::vector<MeterSample> meters;
   std::vector<SetSample> sets;
+
+  /// The value of heartbeat counter `name` (0 for a name not in the schema).
+  std::uint64_t counter(std::string_view name) const noexcept;
 };
 
 /// One JSONL heartbeat line (no trailing newline). The key set and order
@@ -121,21 +113,18 @@ struct TelemetryOptions {
 
 class Telemetry {
  public:
-  /// Start the sampler thread. No-op if already running. Throws when the
-  /// JSONL path cannot be opened.
+  /// Enable metrics collection and start the sampler thread. No-op if
+  /// already running. Throws when the JSONL path cannot be opened.
   static void start(const TelemetryOptions& opts);
   /// Start from NONMASK_TELEMETRY / NONMASK_TELEMETRY_MS; no-op when the
   /// variable is unset. Returns true when the sampler was started.
   static bool start_from_env();
   /// Join the sampler after taking one final sample (so the last
-  /// heartbeat's cumulative state count matches the end-of-run report).
-  /// No-op when not running.
+  /// heartbeat's cumulative state count matches the end-of-run report),
+  /// then restore Metrics::enabled() to its value before start(). No-op
+  /// when not running.
   static void stop();
   static bool running() noexcept;
-
-  /// The one relaxed load every gated instrumentation site pays when off.
-  static bool counting() noexcept;
-  static DepthCounters& depth() noexcept;
 
   /// Take a sample immediately (also appended to the series and the JSONL
   /// sink). Requires a prior start(); used by stop() and tests.

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
-#include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "store/frontier.hpp"
 
@@ -97,8 +96,11 @@ CampaignResults run_campaign(const Design& design,
                          &lines);
   obs::Span campaign_span("campaign.run");
   obs::ProgressMeter meter("campaign", config.trials);
-  obs::Histogram& trial_us =
-      obs::Registry::instance().histogram("campaign.trial_us");
+  auto& registry = obs::Registry::instance();
+  obs::Histogram& trial_us = registry.histogram("campaign.trial_us");
+  obs::Counter& trials_run = registry.counter("campaign_trials");
+  obs::Counter& retries = registry.counter("campaign_retries");
+  obs::Counter& timeouts = registry.counter("campaign_timeouts");
   for (std::size_t i = 0; i < completed; ++i) {
     streamer.on_complete(i);
     meter.add(1);
@@ -113,16 +115,10 @@ CampaignResults run_campaign(const Design& design,
     record.attempts = r.attempts;
     record.error = r.error;
     span.end();
-    if (obs::Telemetry::counting()) {
-      auto& depth = obs::Telemetry::depth();
-      depth.campaign_trials.fetch_add(1, std::memory_order_relaxed);
-      if (r.attempts > 1) {
-        depth.campaign_retries.fetch_add(r.attempts - 1,
-                                         std::memory_order_relaxed);
-      }
-      if (r.outcome.timed_out) {
-        depth.campaign_timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (obs::Metrics::enabled()) {
+      trials_run.add(1);
+      if (r.attempts > 1) retries.add(r.attempts - 1);
+      if (r.outcome.timed_out) timeouts.add(1);
     }
     lines[trial] = to_jsonl(design.name, record);
     streamer.on_complete(trial);
@@ -182,11 +178,8 @@ CampaignResults run_campaign(const Design& design,
   results.aggregate.rounds = summarize(std::move(rounds));
   results.aggregate.moves = summarize(std::move(moves));
   if (obs::Metrics::enabled()) {
-    auto& registry = obs::Registry::instance();
-    registry.counter("campaign.trials").add(config.trials);
     registry.counter("campaign.trials_converged").add(converged);
     registry.counter("campaign.trials_resumed").add(results.resumed_trials);
-    registry.counter("campaign.trials_timed_out").add(results.timed_out);
     registry.counter("campaign.trials_failed").add(results.failed);
   }
   return results;

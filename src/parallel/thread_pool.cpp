@@ -6,9 +6,11 @@
 #include <exception>
 #include <memory>
 
-#include "obs/telemetry.hpp"
-
 namespace nonmask {
+
+namespace {
+std::atomic<std::int64_t> g_live_workers{0};
+}  // namespace
 
 unsigned default_threads() {
   if (const char* env = std::getenv("NONMASK_THREADS")) {
@@ -25,10 +27,12 @@ ThreadPool::ThreadPool(unsigned threads) {
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  // Unconditional (one RMW per pool lifetime) so a telemetry sampler
-  // started mid-run sees a consistent live-worker count.
-  obs::Telemetry::depth().workers_live.fetch_add(
-      static_cast<std::int64_t>(threads), std::memory_order_relaxed);
+  g_live_workers.fetch_add(static_cast<std::int64_t>(threads),
+                           std::memory_order_relaxed);
+}
+
+std::int64_t ThreadPool::live_workers() noexcept {
+  return g_live_workers.load(std::memory_order_relaxed);
 }
 
 ThreadPool::~ThreadPool() {
@@ -39,8 +43,8 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.notify_all();
   for (auto& w : workers_) w.join();
-  obs::Telemetry::depth().workers_live.fetch_sub(
-      static_cast<std::int64_t>(workers_.size()), std::memory_order_relaxed);
+  g_live_workers.fetch_sub(static_cast<std::int64_t>(workers_.size()),
+                           std::memory_order_relaxed);
 }
 
 void ThreadPool::submit(std::function<void(unsigned)> task) {

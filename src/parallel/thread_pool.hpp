@@ -41,6 +41,11 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
+  /// Workers alive across every pool in the process (the telemetry
+  /// heartbeat's "workers"). Maintained unconditionally: one RMW per pool
+  /// lifetime, so a sampler started mid-run never sees it underflow.
+  static std::int64_t live_workers() noexcept;
+
   /// Enqueue a task. The task receives the executing worker's index in
   /// [0, size()) — use it to index per-worker scratch buffers.
   void submit(std::function<void(unsigned worker)> task);

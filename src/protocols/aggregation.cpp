@@ -4,11 +4,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/expr.hpp"
+#include "core/builder.hpp"
 
 namespace nonmask {
-
-using namespace nonmask::dsl;
 
 Value AggregationDesign::expected(const RootedTree& tree, const State& s,
                                   int j) const {
@@ -33,17 +31,31 @@ AggregationDesign make_aggregation(const RootedTree& tree, Value max_value) {
 
   Invariant inv;
   for (int j = 0; j < n; ++j) {
-    // rhs = max(in.j, agg.k for children k), built with the DSL.
-    Expr rhs = v(ad.input[static_cast<std::size_t>(j)]);
+    const VarId in_j = ad.input[static_cast<std::size_t>(j)];
+    const VarId agg_j = ad.aggregate[static_cast<std::size_t>(j)];
+    std::vector<VarId> kids;
     for (int k : tree.children(j)) {
-      rhs = max(std::move(rhs), v(ad.aggregate[static_cast<std::size_t>(k)]));
+      kids.push_back(ad.aggregate[static_cast<std::size_t>(k)]);
     }
-    const Guard ok = v(ad.aggregate[static_cast<std::size_t>(j)]) == rhs;
-    const auto cid = inv.add(Constraint{
-        "agg." + std::to_string(j) + " = max(subtree)", ok.fn(), ok.reads()});
-    add_action(b, "recompute@" + std::to_string(j), ActionKind::kConvergence,
-               !ok, assign(ad.aggregate[static_cast<std::size_t>(j)], rhs),
-               static_cast<int>(cid), j);
+    // rhs = max(in.j, agg.k for children k).
+    auto rhs = [in_j, kids](const State& s) {
+      Value best = s.get(in_j);
+      for (VarId k : kids) best = std::max(best, s.get(k));
+      return best;
+    };
+    auto ok = [agg_j, rhs](const State& s) { return s.get(agg_j) == rhs(s); };
+    std::vector<VarId> reads = kids;
+    reads.push_back(in_j);
+    reads.push_back(agg_j);
+    std::sort(reads.begin(), reads.end());
+    reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+    const auto cid = inv.add(
+        Constraint{"agg." + std::to_string(j) + " = max(subtree)", ok, reads});
+    b.convergence(
+        "recompute@" + std::to_string(j),
+        [ok](const State& s) { return !ok(s); },
+        [agg_j, rhs](State& s) { s.set(agg_j, rhs(s)); }, reads, {agg_j},
+        static_cast<int>(cid), j);
   }
 
   ad.design.name = b.peek().name();

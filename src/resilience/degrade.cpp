@@ -1,6 +1,6 @@
 #include "resilience/degrade.hpp"
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace nonmask {
@@ -36,7 +36,7 @@ ResilientVerification verify_resilient(const Design& design,
 
 std::string to_json(const ResilientVerification& v) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("exhaustive");
   w.value(v.exhaustive);
@@ -71,7 +71,7 @@ void record_verification(obs::RunReport& report,
   report.add("verification", to_json(v));
   if (v.degraded) {
     std::string out;
-    obs::JsonWriter w(&out);
+    util::JsonWriter w(&out);
     w.begin_object();
     w.key("reason");
     w.value("StateSpaceTooLarge");

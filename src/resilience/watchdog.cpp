@@ -56,17 +56,16 @@ ResilientOutcome run_trial_resilient(const Design& design,
       result.outcome = TrialOutcome{};
       result.outcome.timed_out = true;
       result.error = e.what();
-      if (obs::Metrics::enabled()) {
-        obs::Registry::instance().counter("resilience.trial_timeouts").add(1);
-      }
-      return result;
+      return result;  // counted once, as campaign_timeouts, by the caller
     } catch (const std::exception& e) {
       result.error = e.what();
     } catch (...) {
       result.error = "unknown exception";
     }
     if (obs::Metrics::enabled()) {
-      obs::Registry::instance().counter("resilience.trial_errors").add(1);
+      static obs::Counter& errors =
+          obs::Registry::instance().counter("resilience.trial_errors");
+      errors.add(1);
     }
     if (attempt >= policy.max_retries) {
       result.outcome = TrialOutcome{};

@@ -63,7 +63,7 @@ std::string job_status_json(const JobManager& manager, const JobInfo& info,
       hb.add("states_explored",
              jint(static_cast<std::int64_t>(s.states_explored)));
       hb.add("campaign_trials",
-             jint(static_cast<std::int64_t>(s.campaign_trials)));
+             jint(static_cast<std::int64_t>(s.counter("campaign_trials"))));
       hb.add("workers", jint(s.workers));
       tail.push(std::move(hb));
     }

@@ -1,8 +1,19 @@
 #include "store/concurrent_set.hpp"
 
+#include "obs/metrics.hpp"
+
 namespace nonmask::store {
 
 namespace {
+
+// Every counter site tests Metrics::enabled() first, so a disabled site
+// costs one relaxed load; the registry lookup runs once, on first use.
+void count_probes(std::uint64_t probes) {
+  if (!obs::Metrics::enabled()) return;
+  static obs::Counter& counter =
+      obs::Registry::instance().counter("set_probes");
+  counter.add(probes);
+}
 
 std::size_t round_up_pow2(std::uint64_t n) {
   std::size_t cap = 64;
@@ -51,9 +62,10 @@ ConcurrentPackedSet::Shard& ConcurrentPackedSet::shard_at(
                                             std::memory_order_acquire)) {
     return *fresh.release();
   }
-  if (obs::Telemetry::counting()) {
-    obs::Telemetry::depth().set_cas_retries.fetch_add(
-        1, std::memory_order_relaxed);
+  if (obs::Metrics::enabled()) {
+    static obs::Counter& retries =
+        obs::Registry::instance().counter("set_cas_retries");
+    retries.add(1);
   }
   return *expected;
 }
@@ -80,9 +92,10 @@ std::pair<std::uint64_t, bool> ConcurrentPackedSet::insert(
   std::lock_guard<std::mutex> lock(shard.mutex);
   if ((shard.entries + 1) * 10 > shard.table.size() * 7) {
     grow(shard);
-    if (obs::Telemetry::counting()) {
-      obs::Telemetry::depth().set_grows.fetch_add(1,
-                                                  std::memory_order_relaxed);
+    if (obs::Metrics::enabled()) {
+      static obs::Counter& grows =
+          obs::Registry::instance().counter("set_grows");
+      grows.add(1);
     }
   }
   const std::uint64_t mask = shard.table.size() - 1;
@@ -98,18 +111,12 @@ std::pair<std::uint64_t, bool> ConcurrentPackedSet::insert(
       shard.table[pos] = local + 1;
       ++shard.entries;
       if (probes > shard.max_probe) shard.max_probe = probes;
-      if (obs::Telemetry::counting()) {
-        obs::Telemetry::depth().set_probes.fetch_add(
-            probes, std::memory_order_relaxed);
-      }
+      count_probes(probes);
       return {(local << shard_bits_) | shard_idx, true};
     }
     if (equal(*layout_, shard.arena.get(slot - 1), words)) {
       if (probes > shard.max_probe) shard.max_probe = probes;
-      if (obs::Telemetry::counting()) {
-        obs::Telemetry::depth().set_probes.fetch_add(
-            probes, std::memory_order_relaxed);
-      }
+      count_probes(probes);
       return {((slot - 1) << shard_bits_) | shard_idx, false};
     }
     pos = (pos + 1) & mask;

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
-#include "obs/telemetry.hpp"
 #include "store/odometer.hpp"
 
 namespace nonmask::store {
@@ -76,11 +75,13 @@ void SpillableFrontier::flush_mem() {
     offset += static_cast<std::uint64_t>(n);
     remaining -= static_cast<std::size_t>(n);
   }
-  if (obs::Telemetry::counting()) {
-    auto& depth = obs::Telemetry::depth();
-    depth.frontier_spill_flushes.fetch_add(1, std::memory_order_relaxed);
-    depth.frontier_spill_bytes.fetch_add(mem_.size() * sizeof(std::uint64_t),
-                                         std::memory_order_relaxed);
+  if (obs::Metrics::enabled()) {
+    static obs::Counter& flushes =
+        obs::Registry::instance().counter("frontier_spill_flushes");
+    static obs::Counter& bytes_out =
+        obs::Registry::instance().counter("frontier_spill_bytes");
+    flushes.add(1);
+    bytes_out.add(mem_.size() * sizeof(std::uint64_t));
   }
   spilled_ += mem_.size();
   mem_.clear();
@@ -212,9 +213,10 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
   while (frontier->size() != 0 && set.size() < cap) {
     const std::uint64_t fsize = frontier->size();
     ++stats_.levels;
-    if (obs::Telemetry::counting()) {
-      obs::Telemetry::depth().frontier_levels.fetch_add(
-          1, std::memory_order_relaxed);
+    if (obs::Metrics::enabled()) {
+      static obs::Counter& levels =
+          obs::Registry::instance().counter("frontier_levels");
+      levels.add(1);
     }
     if (frontier->spilled()) ++stats_.spills;
     const std::uint64_t level_grain = std::min<std::uint64_t>(
@@ -342,9 +344,10 @@ std::uint64_t FrontierEngine::backward_distances(
     }
     resolved += new_this_round;
     meter.add(new_this_round);
-    if (obs::Telemetry::counting()) {
-      obs::Telemetry::depth().frontier_merge_rounds.fetch_add(
-          1, std::memory_order_relaxed);
+    if (obs::Metrics::enabled()) {
+      static obs::Counter& rounds =
+          obs::Registry::instance().counter("frontier_merge_rounds");
+      rounds.add(1);
     }
     if (new_this_round == 0) break;
     ++stats_.levels;
@@ -354,7 +357,6 @@ std::uint64_t FrontierEngine::backward_distances(
 
   if (obs::Metrics::enabled()) {
     auto& registry = obs::Registry::instance();
-    registry.counter("store.backward.rounds").add(stats_.levels);
     registry.counter("store.backward.resolved").add(resolved);
   }
   return resolved;

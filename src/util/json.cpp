@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,7 @@ const char* JsonValue::type_name() const noexcept {
     case Type::kNull: return "null";
     case Type::kBool: return "bool";
     case Type::kInt: return "int";
+    case Type::kUint: return "uint64";
     case Type::kDouble: return "number";
     case Type::kString: return "string";
     case Type::kArray: return "array";
@@ -285,11 +287,19 @@ class Parser {
       errno = 0;
       char* end = nullptr;
       const long long parsed = std::strtoll(token.c_str(), &end, 10);
-      if (errno != 0 || end == token.c_str() || *end != '\0') {
+      if (errno == 0 && *end == '\0') {
+        v.type = JsonValue::Type::kInt;
+        v.int_value = parsed;
+        return;
+      }
+      // Above INT64_MAX: still exact as uint64 up to 2^64 - 1.
+      errno = 0;
+      const unsigned long long big = std::strtoull(token.c_str(), &end, 10);
+      if (token[0] == '-' || errno != 0 || *end != '\0') {
         fail("integer out of range");
       }
-      v.type = JsonValue::Type::kInt;
-      v.int_value = parsed;
+      v.type = JsonValue::Type::kUint;
+      v.uint_value = big;
     } else {
       errno = 0;
       char* end = nullptr;
@@ -349,8 +359,10 @@ JsonValue jobj() {
   return j;
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
+namespace {
+
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -372,10 +384,19 @@ std::string json_quote(std::string_view s) {
     }
   }
   out += '"';
-  return out;
 }
 
-namespace {
+/// max_digits10 rendering, so values round-trip exactly; non-finite values
+/// have no JSON form and render as null.
+void append_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out += buf;
+}
 
 void dump_value(const JsonValue& v, int depth, std::string& out) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
@@ -384,13 +405,9 @@ void dump_value(const JsonValue& v, int depth, std::string& out) {
     case JsonValue::Type::kNull: out += "null"; return;
     case JsonValue::Type::kBool: out += v.bool_value ? "true" : "false"; return;
     case JsonValue::Type::kInt: out += std::to_string(v.int_value); return;
-    case JsonValue::Type::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.17g", v.double_value);
-      out += buf;
-      return;
-    }
-    case JsonValue::Type::kString: out += json_quote(v.string_value); return;
+    case JsonValue::Type::kUint: out += std::to_string(v.uint_value); return;
+    case JsonValue::Type::kDouble: append_double(out, v.double_value); return;
+    case JsonValue::Type::kString: append_quoted(out, v.string_value); return;
     case JsonValue::Type::kArray: {
       if (v.array.empty()) {
         out += "[]";
@@ -413,7 +430,9 @@ void dump_value(const JsonValue& v, int depth, std::string& out) {
       }
       out += "{\n";
       for (std::size_t i = 0; i < v.object.size(); ++i) {
-        out += pad_in + json_quote(v.object[i].first) + ": ";
+        out += pad_in;
+        append_quoted(out, v.object[i].first);
+        out += ": ";
         dump_value(v.object[i].second, depth + 1, out);
         if (i + 1 < v.object.size()) out += ',';
         out += '\n';
@@ -426,11 +445,92 @@ void dump_value(const JsonValue& v, int depth, std::string& out) {
 
 }  // namespace
 
+std::string json_quote(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
+}
+
 std::string dump_json(const JsonValue& v) {
   std::string out;
   dump_value(v, 0, out);
   out += '\n';
   return out;
+}
+
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (!has_element_.empty()) {
+    if (has_element_.back()) out_->push_back(',');
+    has_element_.back() = true;
+  }
+}
+
+void JsonWriter::begin_object() {
+  separate();
+  out_->push_back('{');
+  has_element_.push_back(false);
+}
+
+void JsonWriter::end_object() {
+  has_element_.pop_back();
+  out_->push_back('}');
+}
+
+void JsonWriter::begin_array() {
+  separate();
+  out_->push_back('[');
+  has_element_.push_back(false);
+}
+
+void JsonWriter::end_array() {
+  has_element_.pop_back();
+  out_->push_back(']');
+}
+
+void JsonWriter::key(std::string_view k) {
+  separate();
+  append_quoted(*out_, k);
+  out_->push_back(':');
+  after_key_ = true;
+}
+
+void JsonWriter::value(std::string_view v) {
+  separate();
+  append_quoted(*out_, v);
+}
+
+void JsonWriter::value(std::uint64_t v) {
+  separate();
+  *out_ += std::to_string(v);
+}
+
+void JsonWriter::value(std::int64_t v) {
+  separate();
+  *out_ += std::to_string(v);
+}
+
+void JsonWriter::value(double v) {
+  separate();
+  append_double(*out_, v);
+}
+
+void JsonWriter::value(bool v) {
+  separate();
+  *out_ += v ? "true" : "false";
+}
+
+void JsonWriter::null() {
+  separate();
+  *out_ += "null";
+}
+
+void JsonWriter::raw(std::string_view json) {
+  separate();
+  *out_ += json;
 }
 
 }  // namespace nonmask::util

@@ -1,14 +1,17 @@
-// Hand-rolled recursive-descent JSON parser (RFC 8259 subset, no external
-// dependency). The spec DSL (src/spec/) and the job server (src/serve/)
-// parse documents through this module; obs/json.hpp remains the *writer*.
+// The one JSON module (RFC 8259 subset, no external dependency): a
+// hand-rolled recursive-descent parser into JsonValue, the indented
+// dump_json renderer, and the compact streaming JsonWriter behind reports,
+// heartbeats, and journal lines. Both writers share one string escape
+// (json_quote) and one double formatter.
 //
 // Every parsed value carries the line/column where it started, so the spec
 // schema validator can report field-precise errors ("$.actions[2].guard:
 // expected string (line 14)"). Object member order is preserved — the spec
 // round-trip tests rely on deterministic iteration.
 //
-// Deliberate limits (documented, tested): numbers are either int64 or
-// double (integral tokens without '.', 'e', 'E' parse exactly as int64);
+// Deliberate limits (documented, tested): numbers are int64, uint64, or
+// double (integral tokens without '.', 'e', 'E' parse exactly as int64, or
+// as uint64 when above INT64_MAX — journal seeds use the full range);
 // \uXXXX escapes outside the BMP surrogate-pair form decode per RFC;
 // duplicate object keys are rejected (a spec with two "job" members is a
 // mistake, not a merge).
@@ -40,11 +43,14 @@ class JsonParseError : public std::runtime_error {
 
 class JsonValue {
  public:
-  enum class Type { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+  enum class Type {
+    kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject
+  };
 
   Type type = Type::kNull;
   bool bool_value = false;
   std::int64_t int_value = 0;
+  std::uint64_t uint_value = 0;  ///< kUint only: integers above INT64_MAX
   double double_value = 0.0;
   std::string string_value;
   std::vector<JsonValue> array;
@@ -58,14 +64,31 @@ class JsonValue {
   bool is_bool() const noexcept { return type == Type::kBool; }
   bool is_int() const noexcept { return type == Type::kInt; }
   bool is_number() const noexcept {
-    return type == Type::kInt || type == Type::kDouble;
+    return type == Type::kInt || type == Type::kUint ||
+           type == Type::kDouble;
   }
   bool is_string() const noexcept { return type == Type::kString; }
   bool is_array() const noexcept { return type == Type::kArray; }
   bool is_object() const noexcept { return type == Type::kObject; }
 
   double as_double() const noexcept {
-    return type == Type::kInt ? static_cast<double>(int_value) : double_value;
+    if (type == Type::kInt) return static_cast<double>(int_value);
+    if (type == Type::kUint) return static_cast<double>(uint_value);
+    return double_value;
+  }
+
+  /// The value as an unsigned 64-bit integer, or false when it is not a
+  /// non-negative integer.
+  bool as_u64(std::uint64_t* out) const noexcept {
+    if (type == Type::kInt && int_value >= 0) {
+      *out = static_cast<std::uint64_t>(int_value);
+      return true;
+    }
+    if (type == Type::kUint) {
+      *out = uint_value;
+      return true;
+    }
+    return false;
   }
 
   /// Pointer to the member value, or nullptr when absent (objects only).
@@ -107,7 +130,47 @@ JsonValue parse_json(std::string_view text);
 /// Round-trips through parse_json (doubles print with max_digits10).
 std::string dump_json(const JsonValue& v);
 
-/// Escape and quote one string as a JSON literal.
+/// Escape and quote one string as a JSON literal. The only escape routine:
+/// dump_json and JsonWriter both render strings through it.
 std::string json_quote(std::string_view s);
+
+/// Compact streaming writer (no whitespace) for reports, heartbeats, and
+/// journal lines. Handles comma insertion; callers are responsible for
+/// pairing begin/end calls.
+class JsonWriter {
+ public:
+  /// Appends to `out`; the string must outlive the writer.
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  void begin_object();
+  void end_object();
+  void begin_array();
+  void end_array();
+
+  /// Object key; must be followed by exactly one value or container.
+  void key(std::string_view k);
+
+  void value(std::string_view v);  ///< quoted + escaped
+  void value(const char* v) { value(std::string_view(v)); }
+  void value(std::uint64_t v);
+  void value(std::int64_t v);
+  /// Plain int / size_t literals would otherwise be ambiguous between the
+  /// integer overloads; forward them explicitly.
+  void value(int v) { value(static_cast<std::int64_t>(v)); }
+  void value(unsigned v) { value(static_cast<std::uint64_t>(v)); }
+  void value(double v);  ///< non-finite values serialize as null
+  void value(bool v);
+  void null();
+  /// Splice a pre-rendered JSON value verbatim.
+  void raw(std::string_view json);
+
+ private:
+  void separate();
+
+  std::string* out_;
+  // One frame per open container: true once the first element was written.
+  std::vector<bool> has_element_;
+  bool after_key_ = false;
+};
 
 }  // namespace nonmask::util

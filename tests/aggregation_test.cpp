@@ -1,4 +1,4 @@
-// Stabilizing tree aggregation (DSL-authored protocol).
+// Stabilizing tree aggregation (extension protocol).
 #include <gtest/gtest.h>
 
 #include "cgraph/theorems.hpp"
@@ -70,7 +70,7 @@ TEST(AggregationTest, Theorem2AppliesOnChains) {
 }
 
 TEST(AggregationTest, DerivedContractsHoldEverywhere) {
-  // Read/write sets were derived by the DSL; verify the contracts anyway.
+  // Read/write sets are declared by hand; verify the contracts hold.
   const auto ad = make_aggregation(RootedTree::balanced(4, 2), 2);
   StateSpace space(ad.design.program);
   State s(ad.design.program.num_variables());

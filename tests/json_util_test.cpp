@@ -1,7 +1,9 @@
-// The hand-rolled JSON reader underneath the spec DSL: exact int64 vs
-// double tokens, escape decoding, line/col error positions, duplicate-key
-// rejection, builder chaining, and dump -> parse round-trips.
+// The one JSON module: the hand-rolled reader underneath the spec DSL and
+// the campaign journal (exact int64 / uint64 vs double tokens, escape
+// decoding, line/col error positions, duplicate-key rejection), builder
+// chaining, dump -> parse round-trips, and the compact JsonWriter.
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@ namespace {
 
 using util::JsonParseError;
 using util::JsonValue;
+using util::JsonWriter;
 using util::dump_json;
 using util::jarr;
 using util::jbool;
@@ -39,6 +42,23 @@ TEST(JsonUtilTest, IntegralTokensStayExactInt64) {
   EXPECT_TRUE(parse_json("1.5").type == JsonValue::Type::kDouble);
   EXPECT_TRUE(parse_json("1e3").type == JsonValue::Type::kDouble);
   EXPECT_DOUBLE_EQ(parse_json("1e3").as_double(), 1000.0);
+}
+
+TEST(JsonUtilTest, IntegralTokensAboveInt64StayExactUint64) {
+  std::uint64_t out = 0;
+  const JsonValue big = parse_json("18446744073709551615");
+  ASSERT_EQ(big.type, JsonValue::Type::kUint);
+  ASSERT_TRUE(big.as_u64(&out));
+  EXPECT_EQ(out, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(parse_json("9223372036854775807").is_int());
+  ASSERT_TRUE(parse_json("42").as_u64(&out));
+  EXPECT_EQ(out, 42u);
+  EXPECT_FALSE(parse_json("-1").as_u64(&out));
+  EXPECT_FALSE(parse_json("1.0").as_u64(&out));
+  // Past 2^64 - 1, and below INT64_MIN, there is no exact form.
+  EXPECT_THROW(parse_json("18446744073709551616"), JsonParseError);
+  EXPECT_THROW(parse_json("-9223372036854775809"), JsonParseError);
+  EXPECT_EQ(dump_json(big), "18446744073709551615\n");
 }
 
 TEST(JsonUtilTest, DecodesEscapes) {
@@ -132,6 +152,52 @@ TEST(JsonUtilTest, QuoteEscapesControlCharacters) {
   EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
   EXPECT_EQ(json_quote("tab\there"), "\"tab\\there\"");
   EXPECT_EQ(json_quote(std::string(1, '\x01')), "\"\\u0001\"");
+  EXPECT_EQ(json_quote("\b\f"), "\"\\b\\f\"");
+}
+
+TEST(JsonUtilTest, WriterEscapesAndNests) {
+  std::string out;
+  JsonWriter w(&out);
+  w.begin_object();
+  w.key("s");
+  w.value(std::string_view("a\"b\\c\n"));
+  w.key("n");
+  w.value(std::uint64_t{42});
+  w.key("list");
+  w.begin_array();
+  w.value(true);
+  w.null();
+  w.end_array();
+  w.end_object();
+  EXPECT_EQ(out, "{\"s\":\"a\\\"b\\\\c\\n\",\"n\":42,\"list\":[true,null]}");
+}
+
+// JsonWriter and dump_json render strings and doubles through the same
+// routines: every control character, and non-finite doubles as null.
+TEST(JsonUtilTest, WriterAndDumpShareEscapesAndDoubles) {
+  std::string text;
+  for (int c = 1; c < 0x20; ++c) text.push_back(static_cast<char>(c));
+  text += "\"\\/";
+  std::string written;
+  JsonWriter w(&written);
+  w.value(text);
+  EXPECT_EQ(written, json_quote(text));
+  EXPECT_EQ(dump_json(jstr(text)), json_quote(text) + "\n");
+  EXPECT_EQ(parse_json(written).string_value, text);
+
+  JsonValue tenth;
+  tenth.type = JsonValue::Type::kDouble;
+  tenth.double_value = 0.1;
+  std::string dumped = dump_json(tenth);
+  dumped.pop_back();  // trailing newline
+  std::string doubles;
+  JsonWriter dw(&doubles);
+  dw.begin_array();
+  dw.value(0.1);
+  dw.value(std::numeric_limits<double>::infinity());
+  dw.end_array();
+  EXPECT_EQ(doubles, "[" + dumped + ",null]");
+  EXPECT_EQ(parse_json(doubles).array[0].double_value, 0.1);
 }
 
 }  // namespace

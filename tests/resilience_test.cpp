@@ -217,6 +217,95 @@ TEST(JournalTest, TornAndMalformedLinesAreRejected) {
   EXPECT_FALSE(parse_trial_jsonl("{\"design\":\"d\"}").has_value());
 }
 
+TEST(JournalTest, RecordTruncatedAtEveryOffsetIsRejected) {
+  TrialRecord record;
+  record.trial = 4;
+  record.seeds = {0xfedc'ba98'7654'3210ULL, 7};
+  record.outcome.converged = true;
+  record.outcome.steps = 12;
+  record.error = "late";
+  const std::string line = to_jsonl("d", record);
+  ASSERT_TRUE(parse_trial_jsonl(line).has_value());
+  for (std::size_t len = 0; len < line.size(); ++len) {
+    EXPECT_FALSE(parse_trial_jsonl(line.substr(0, len)).has_value()) << len;
+  }
+}
+
+// A trial number past 2^64 - 1 and a boolean with trailing letters are not
+// records: resume must not replay them (as trial 0, or as false).
+TEST(JournalTest, OverflowingTrialAndMisspelledBooleanAreRejected) {
+  const std::string tail =
+      ",\"daemon_seed\":1,\"start_seed\":2,\"converged\":true,"
+      "\"deadlocked\":false,\"exhausted\":false,\"timed_out\":false,"
+      "\"failed\":false,\"attempts\":1,\"steps\":3,\"rounds\":1,\"moves\":3}";
+  ASSERT_TRUE(
+      parse_trial_jsonl("{\"design\":\"d\",\"trial\":0" + tail).has_value());
+  EXPECT_FALSE(
+      parse_trial_jsonl("{\"design\":\"d\",\"trial\":18446744073709551616" +
+                        tail)
+          .has_value());
+  std::string falsehood = "{\"design\":\"d\",\"trial\":0" + tail;
+  falsehood.replace(falsehood.find("\"converged\":true"), 16,
+                    "\"converged\":falsehood");
+  EXPECT_FALSE(parse_trial_jsonl(falsehood).has_value());
+}
+
+TEST(JournalTest, ErrorWithEveryControlCharacterRoundTrips) {
+  TrialRecord record;
+  record.outcome.failed = true;
+  for (int c = 1; c < 0x20; ++c) record.error.push_back(static_cast<char>(c));
+  record.error += "\"\\";
+  const std::string line = to_jsonl("d", record);
+  const auto parsed = parse_trial_jsonl(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->error, record.error);
+  EXPECT_EQ(to_jsonl("d", *parsed), line);
+}
+
+// Existing journals stay resumable: lines with \u00XX control escapes (the
+// form earlier releases wrote for \b and \f) and seeds above INT64_MAX.
+TEST(JournalTest, EarlierWriterLinesStillResume) {
+  const std::string earlier =
+      R"({"design":"token-ring","trial":3,"daemon_seed":18446744073709551615,)"
+      R"("start_seed":9223372036854775808,"converged":false,"deadlocked":false,)"
+      R"("exhausted":false,"timed_out":true,"failed":false,"attempts":2,)"
+      R"("steps":1000000,"rounds":7,"moves":999,)"
+      R"("error":"deadline \"1 ms\" \\ hit\u0008\u000c\u0001\u001f"})";
+  std::string design;
+  const auto parsed = parse_trial_jsonl(earlier, &design);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(design, "token-ring");
+  EXPECT_EQ(parsed->trial, 3u);
+  EXPECT_EQ(parsed->seeds.daemon, 18446744073709551615ULL);
+  EXPECT_EQ(parsed->seeds.start, 9223372036854775808ULL);
+  EXPECT_TRUE(parsed->outcome.timed_out);
+  EXPECT_EQ(parsed->attempts, 2u);
+  EXPECT_EQ(parsed->outcome.steps, 1000000u);
+  EXPECT_EQ(parsed->error, "deadline \"1 ms\" \\ hit\b\f\x01\x1f");
+
+  // The first line of the resume smoke's journal (dijkstra, 64 trials,
+  // seed 7) is replayed verbatim.
+  const std::string first =
+      R"({"design":"dijkstra-k-state-ring","trial":0,)"
+      R"("daemon_seed":12923355070828475994,"start_seed":5142052590334782674,)"
+      R"("converged":true,"deadlocked":false,"exhausted":false,)"
+      R"("timed_out":false,"failed":false,"attempts":1,"steps":97,)"
+      R"("rounds":7,"moves":97})";
+  const std::string path = testing::TempDir() + "journal_earlier_test.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << first << '\n';
+  }
+  const JournalPrefix prefix = load_journal_prefix(
+      path, "dijkstra-k-state-ring", derive_trial_seeds(7, 64));
+  ASSERT_EQ(prefix.lines.size(), 1u);
+  EXPECT_EQ(prefix.lines[0], first);
+  ASSERT_TRUE(parse_trial_jsonl(first).has_value());
+  EXPECT_EQ(to_jsonl("dijkstra-k-state-ring", *parse_trial_jsonl(first)),
+            first);
+  std::remove(path.c_str());
+}
+
 TEST(JournalTest, PrefixStopsAtFirstMismatch) {
   const std::string path = testing::TempDir() + "journal_prefix_test.jsonl";
   const auto seeds = derive_trial_seeds(5, 4);

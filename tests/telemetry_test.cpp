@@ -13,19 +13,28 @@
 
 #include "checker/state_space.hpp"
 #include "obs/dashboard.hpp"
+#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
+#include "obs/report.hpp"
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/campaign.hpp"
 #include "protocols/token_ring.hpp"
 #include "store/concurrent_set.hpp"
 #include "store/facade.hpp"
 #include "store/packed.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 namespace {
 
 using obs::HeartbeatSample;
+using obs::Metrics;
 using obs::Telemetry;
+
+std::uint64_t states_explored() {
+  return obs::Registry::instance().counter("states_explored").value();
+}
 
 TEST(RssTest, PeakIsPositiveAndCurrentIsSane) {
   EXPECT_GT(obs::peak_rss_mb(), 0.0);
@@ -40,18 +49,15 @@ TEST(RssTest, PeakIsPositiveAndCurrentIsSane) {
 
 TEST(TelemetryTest, OffByDefault) {
   ASSERT_FALSE(Telemetry::running());
-  ASSERT_FALSE(Telemetry::counting());
-  // A meter with an exploration label must not feed the depth counter
-  // while telemetry is off.
-  const std::uint64_t before =
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed);
+  ASSERT_FALSE(Metrics::enabled());
+  // A meter with an exploration label must not feed the states_explored
+  // counter while collection is off.
+  const std::uint64_t before = states_explored();
   {
     obs::ProgressMeter meter("convergence-dfs", 100);
     meter.add(42);
   }
-  EXPECT_EQ(
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed),
-      before);
+  EXPECT_EQ(states_explored(), before);
 }
 
 // The key set and order of a heartbeat line are a parsing contract
@@ -67,18 +73,7 @@ TEST(TelemetryTest, HeartbeatJsonSchemaGolden) {
   hb.rss_mb = 12.5;
   hb.peak_rss_mb = 20.25;
   hb.workers = 8;
-  hb.set_probes = 11;
-  hb.set_grows = 2;
-  hb.set_cas_retries = 1;
-  hb.arena_slab_allocs = 4;
-  hb.arena_slab_bytes = 4096;
-  hb.frontier_spill_flushes = 1;
-  hb.frontier_spill_bytes = 512;
-  hb.frontier_levels = 9;
-  hb.frontier_merge_rounds = 3;
-  hb.campaign_trials = 5;
-  hb.campaign_retries = 1;
-  hb.campaign_timeouts = 0;
+  hb.counters = {11, 2, 1, 4, 4096, 1, 512, 9, 3, 5, 1, 0};
   obs::MeterSample meter;
   meter.label = "store-reach";
   meter.done = 1000;
@@ -119,13 +114,12 @@ void run_sampler_race(unsigned threads) {
   const StateSpace space(tr.design.program);
   const store::PackedLayout layout(tr.design.program);
 
-  const std::uint64_t explored_before =
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed);
+  const std::uint64_t explored_before = states_explored();
   obs::TelemetryOptions opts;
   opts.interval_ms = 1;  // in-memory sink, aggressive sampling
   Telemetry::start(opts);
   ASSERT_TRUE(Telemetry::running());
-  ASSERT_TRUE(Telemetry::counting());
+  ASSERT_TRUE(Metrics::enabled());
 
   {
     store::ConcurrentPackedSet set(layout, /*shard_bits=*/4, /*seed=*/1,
@@ -160,7 +154,7 @@ void run_sampler_race(unsigned threads) {
     EXPECT_EQ(last.sets[0].entries, space.size());
     EXPECT_EQ(last.sets[0].shards, 16u);
     EXPECT_GT(last.sets[0].max_probe, 0u);
-    EXPECT_GE(last.set_probes, space.size());
+    EXPECT_GE(last.counter("set_probes"), space.size());
     ASSERT_EQ(last.meters.size(), 1u);
     EXPECT_EQ(last.meters[0].done, space.size());
     for (std::size_t i = 1; i < series.size(); ++i) {
@@ -168,7 +162,7 @@ void run_sampler_race(unsigned threads) {
       EXPECT_GE(series[i].t_ms, series[i - 1].t_ms);
     }
   }
-  EXPECT_FALSE(Telemetry::counting());
+  EXPECT_FALSE(Metrics::enabled());
 }
 
 TEST(TelemetryTest, SamplerWithOneWriter) { run_sampler_race(1); }
@@ -186,8 +180,7 @@ TEST(TelemetryTest, FinalHeartbeatMatchesWeaklyFairCheck) {
   cfg.backend = store::StoreBackend::kStore;
   cfg.threads = 2;
 
-  const std::uint64_t explored_before =
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed);
+  const std::uint64_t explored_before = states_explored();
   obs::TelemetryOptions opts;
   opts.interval_ms = 1;
   Telemetry::start(opts);
@@ -201,6 +194,98 @@ TEST(TelemetryTest, FinalHeartbeatMatchesWeaklyFairCheck) {
   EXPECT_EQ(series.back().states_explored - explored_before,
             report.region_states);
   EXPECT_GT(report.region_states, 0u);
+}
+
+// One vocabulary: the final heartbeat's counters are the registry counters
+// the run report prints, under the same names.
+TEST(TelemetryTest, FinalHeartbeatCountersMatchRunReportMetrics) {
+  const auto tr = make_dijkstra_ring(4, 6);
+  const StateSpace space(tr.design.program);
+  store::StoreConfig cfg;
+  cfg.backend = store::StoreBackend::kStore;
+  cfg.threads = 2;
+
+  obs::TelemetryOptions opts;
+  opts.interval_ms = 1;
+  Telemetry::start(opts);
+  const auto report = store::check_convergence_weakly_fair_via(
+      cfg, space, tr.design.S(), tr.design.T());
+  // A forward BFS and a short campaign move the frontier and trial
+  // counters too, so the comparison below is not all zeros.
+  std::vector<std::size_t> actions(tr.design.program.num_actions());
+  for (std::size_t i = 0; i < actions.size(); ++i) actions[i] = i;
+  store::compute_reachable_via(cfg, space, tr.design.S(), actions);
+  ConvergenceExperiment config;
+  config.trials = 4;
+  CampaignOptions copts;
+  copts.threads = 2;
+  run_campaign(tr.design, config, copts);
+  Telemetry::stop();
+  ASSERT_EQ(report.verdict, ConvergenceVerdict::kConverges);
+
+  const HeartbeatSample last = Telemetry::samples().back();
+  const util::JsonValue doc =
+      util::parse_json(obs::RunReport("telemetry_test").to_json());
+  const util::JsonValue* counters = doc.find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (std::size_t i = 0; i < obs::kHeartbeatCounters.size(); ++i) {
+    const util::JsonValue* c = counters->find(obs::kHeartbeatCounters[i]);
+    ASSERT_NE(c, nullptr) << obs::kHeartbeatCounters[i];
+    std::uint64_t value = 0;
+    ASSERT_TRUE(c->as_u64(&value));
+    EXPECT_EQ(value, last.counters[i]) << obs::kHeartbeatCounters[i];
+  }
+  std::uint64_t states = 0;
+  ASSERT_TRUE(counters->find("states_explored")->as_u64(&states));
+  EXPECT_EQ(states, last.states_explored);
+  EXPECT_GT(last.counter("frontier_levels"), 0u);
+  EXPECT_EQ(last.counter("campaign_trials"), 4u);
+}
+
+// One switch: with collection off, neither the store pipeline nor the
+// campaign runner moves any registry counter.
+TEST(TelemetryTest, SwitchOffLeavesEveryRegistryCounterAtZero) {
+  ASSERT_FALSE(Metrics::enabled());
+  obs::Registry::instance().reset();
+  const auto tr = make_dijkstra_ring(4, 6);
+  const StateSpace space(tr.design.program);
+  store::StoreConfig cfg;
+  cfg.backend = store::StoreBackend::kStore;
+  cfg.threads = 2;
+  ASSERT_EQ(store::check_convergence_weakly_fair_via(cfg, space,
+                                                     tr.design.S(),
+                                                     tr.design.T())
+                .verdict,
+            ConvergenceVerdict::kConverges);
+  ConvergenceExperiment config;
+  config.trials = 8;
+  config.seed = 3;
+  CampaignOptions copts;
+  copts.threads = 2;
+  run_campaign(tr.design, config, copts);
+
+  const obs::RegistrySnapshot snap = obs::Registry::instance().snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(value, 0u) << name;
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    EXPECT_EQ(hist.count, 0u) << name;
+  }
+}
+
+// start() turns collection on; stop() restores the prior switch instead of
+// forcing it off.
+TEST(TelemetryTest, PriorMetricsSwitchSurvivesStartStop) {
+  Metrics::set_enabled(true);
+  Telemetry::start({});
+  EXPECT_TRUE(Metrics::enabled());
+  Telemetry::stop();
+  EXPECT_TRUE(Metrics::enabled());
+  Metrics::set_enabled(false);
+  Telemetry::start({});
+  EXPECT_TRUE(Metrics::enabled());
+  Telemetry::stop();
+  EXPECT_FALSE(Metrics::enabled());
 }
 
 TEST(TelemetryTest, JsonlSinkWritesOneObjectPerHeartbeat) {
