@@ -30,13 +30,18 @@ ProgramSuccessors::ProgramSuccessors(const StateSpace& space,
 
 void ProgramSuccessors::successors(std::uint64_t code,
                                    std::vector<std::uint64_t>& out) {
+  space_->decode_into(code, scratch_);
+  successors_of(scratch_, out);
+}
+
+void ProgramSuccessors::successors_of(const State& s,
+                                      std::vector<std::uint64_t>& out) {
   const Program& p = space_->program();
   out.clear();
-  space_->decode_into(code, scratch_);
   for (std::size_t idx : actions_) {
     const Action& a = p.action(idx);
-    if (!a.enabled(scratch_)) continue;
-    next_ = scratch_;
+    if (!a.enabled(s)) continue;
+    next_ = s;
     a.execute(next_);
     out.push_back(space_->encode(next_));
   }

@@ -114,6 +114,9 @@ class ProgramSuccessors final : public SuccessorSource {
   ProgramSuccessors(const StateSpace& space, std::vector<std::size_t> actions);
   void successors(std::uint64_t code,
                   std::vector<std::uint64_t>& out) override;
+  /// The same list for an already decoded state (scans that walk codes
+  /// with an odometer cursor skip the decode).
+  void successors_of(const State& s, std::vector<std::uint64_t>& out);
 
  private:
   const StateSpace* space_;

@@ -9,15 +9,15 @@ VarId Program::add_variable(VariableSpec spec) {
   if (variables_.size() >= 0xfffffffeu) {
     throw std::length_error("Program: too many variables");
   }
+  const auto index = static_cast<std::uint32_t>(variables_.size());
+  variable_index_.try_emplace(spec.name, index);  // the first name wins
   variables_.push_back(std::move(spec));
-  return VarId(static_cast<std::uint32_t>(variables_.size() - 1));
+  return VarId(index);
 }
 
 VarId Program::find_variable(const std::string& name) const noexcept {
-  for (std::uint32_t i = 0; i < variables_.size(); ++i) {
-    if (variables_[i].name == name) return VarId(i);
-  }
-  return VarId();
+  const auto it = variable_index_.find(name);
+  return it == variable_index_.end() ? VarId() : VarId(it->second);
 }
 
 std::size_t Program::add_action(Action action) {

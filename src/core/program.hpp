@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/action.hpp"
@@ -34,7 +35,8 @@ class Program {
   const std::vector<VariableSpec>& variables() const noexcept {
     return variables_;
   }
-  /// Find a variable by name; returns an invalid VarId when absent.
+  /// Find a variable by name (the first one added under it; O(1));
+  /// returns an invalid VarId when absent.
   VarId find_variable(const std::string& name) const noexcept;
 
   // --- actions ------------------------------------------------------------
@@ -82,6 +84,7 @@ class Program {
  private:
   std::string name_;
   std::vector<VariableSpec> variables_;
+  std::unordered_map<std::string, std::uint32_t> variable_index_;
   std::vector<Action> actions_;
 };
 

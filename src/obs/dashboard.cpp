@@ -138,15 +138,6 @@ const char* unit_tag(Unit u) {
   }
 }
 
-std::string unit_label(Unit u, double v) {
-  switch (u) {
-    case Unit::kRate: return human_count(v) + "/s";
-    case Unit::kMegabytes: return fmt(v, v >= 100 ? 0 : 1) + " MB";
-    case Unit::kBytes: return human_bytes(v);
-    default: return human_count(v);
-  }
-}
-
 struct ChartSeries {
   std::string name;
   std::vector<double> y;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <limits>
+#include <unordered_set>
 #include <utility>
 
 namespace nonmask::spec {
@@ -553,7 +554,7 @@ class Emitter {
   void rollback(const Mark& m) {
     code_.resize(m.code);
     for (std::size_t i = m.reads; i < reads_.size(); ++i) {
-      seen_[reads_[i].index()] = 0;
+      seen_.erase(reads_[i].index());
     }
     reads_.resize(m.reads);
     pool_.resize(m.pool);
@@ -575,11 +576,7 @@ class Emitter {
   }
 
   Operand read(VarId id) {
-    if (seen_.size() <= id.index()) seen_.resize(id.index() + 1, 0);
-    if (seen_[id.index()] == 0) {
-      seen_[id.index()] = 1;
-      reads_.push_back(id);
-    }
+    if (seen_.insert(id.index()).second) reads_.push_back(id);
     Operand o;
     o.source = kFromVar;
     o.value = static_cast<Value>(id.index());
@@ -593,7 +590,10 @@ class Emitter {
 
   std::vector<Instr> code_;
   std::vector<VarId> reads_;
-  std::vector<std::uint8_t> seen_;  // by VarId index: already in reads_
+  // VarId indices already in reads_. A set, not a vector indexed by VarId:
+  // that costs each expression O(highest id read), so O(n^2) on n-process
+  // specs.
+  std::unordered_set<std::uint32_t> seen_;
   std::vector<Value> pool_;
   std::uint32_t depth_ = 0;
   std::uint32_t max_depth_ = 0;

@@ -54,11 +54,10 @@ JobResult finish(obs::RunReport& report, bool ok, std::string summary) {
 JobResult run_check(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
   const store::StoreConfig config = store_config(job);
-  const StateSpace space(design.program, config.budget);
-
   obs::RunReport report("spec_check", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, config);
+  const StateSpace space(design.program, config.budget);
   const auto fallback = store::backend_fallback_reason(config, space);
   report.add_text("backend_fallback_reason", fallback ? *fallback : "");
 
@@ -87,13 +86,13 @@ JobResult run_check(const CompiledSpec& spec, const JobDecl& job) {
 
 JobResult run_falsify(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_falsify", design.name);
   FalsifyOptions opts;
   opts.walks = job.walks;
   opts.max_walk_length = job.walk_length;
   opts.seed = job.seed;
   const FalsifyResult result = falsify_convergence(design, opts);
 
-  obs::RunReport report("spec_falsify", design.name);
   report.add("spec", provenance_json(spec));
   report.add_number("walks", job.walks);
   report.add_number("walk_length", job.walk_length);
@@ -124,6 +123,7 @@ JobResult run_falsify(const CompiledSpec& spec, const JobDecl& job) {
 JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
                            const JobOptions& jopts) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_campaign", design.name);
 
   ConvergenceExperiment config;
   config.trials = job.trials;
@@ -166,7 +166,6 @@ JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
   // Section for section the shape examples/parallel_campaign.cpp writes,
   // with the provenance block in front: CI diffs the two documents after
   // deleting tool/started_at/wall_ms/metrics/spec.
-  obs::RunReport report("spec_campaign", design.name);
   report.add("spec", provenance_json(spec));
   report.add_number("trials", std::uint64_t{config.trials});
   report.add_number("seed", config.seed);
@@ -197,6 +196,7 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
                     "containment job requires a Byzantine placement",
                     job.line);
   }
+  obs::RunReport report("spec_containment", design.name);
 
   AdversaryOptions leg_opts;
   leg_opts.seed = job.seed;
@@ -208,7 +208,6 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
   const ContainmentReport rep =
       measure_containment(design.program, placement, legitimate, copts);
 
-  obs::RunReport report("spec_containment", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, copts.config);
   report.add("containment", containment_to_json(design.program, rep));
@@ -224,6 +223,7 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
 
 JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_synthesize", design.name);
 
   // The synthesizer takes the candidate triple: the program *without* its
   // convergence actions (those are what it is asked to produce).
@@ -252,7 +252,6 @@ JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
   opts.state_budget = opts.store.budget;
   const synth::SynthesisResult result = synth::synthesize(candidate, opts);
 
-  obs::RunReport report("spec_synthesize", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, opts.store);
   report.add_number("stripped_convergence_actions", std::uint64_t{stripped});
@@ -288,6 +287,7 @@ JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
 JobResult run_certify(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
   const store::StoreConfig config = store_config(job);
+  obs::RunReport report("spec_certify", design.name);
   const StateSpace space(design.program, config.budget);
 
   ValidationOptions vopts;
@@ -295,7 +295,6 @@ JobResult run_certify(const CompiledSpec& spec, const JobDecl& job) {
   const synth::CertificationResult result =
       synth::certify_design(design, vopts);
 
-  obs::RunReport report("spec_certify", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, config);
   {

@@ -1,6 +1,8 @@
 #include "store/store_check.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -8,6 +10,7 @@
 #include "checker/convergence_core.hpp"
 #include "checker/scc_core.hpp"
 #include "core/candidate.hpp"
+#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "parallel/thread_pool.hpp"
@@ -188,6 +191,216 @@ CsrSuccessors build_region_adjacency(ThreadPool& pool, const StateSpace& space,
   return CsrSuccessors(std::move(offsets), std::move(data));
 }
 
+/// Parallel Kahn-style elimination over the region T ∧ ¬S (OWCTY-style,
+/// Černá & Pelánek 2003): decides a converging design with forward edges
+/// only, in place of the serial DFS or Tarjan pass. `report` arrives with
+/// the flag pass's counts; the result is the report the DFS would return,
+/// or nullopt when the region holds a deadlock, a cycle, or a successor
+/// outside T ∪ S — the cases whose counterexample, or whose region, only
+/// the serial traversal reproduces exactly. The arrays are freed on return,
+/// before the caller's fallback allocates its own.
+///
+/// Pass A expands every region state once, counting region_states and
+/// transitions and each region state's in-degree within the region (u16,
+/// relaxed atomic increments). Pass B removes in-degree-0 states in
+/// level-synchronous rounds over 1-bit frontier maps, decrementing the
+/// in-degree of each successor. A state removed in round r lies at the end
+/// of a longest in-region path of r steps, so max over states with an
+/// S-successor of r + 1 is the DFS's longest path to S.
+std::optional<ConvergenceReport> eliminate_region(
+    ThreadPool& pool, const StateSpace& space, const TwoBitArray& flags,
+    const std::vector<std::size_t>& actions, std::uint64_t grain,
+    ConvergenceReport report) {
+  obs::Span span("store.eliminate");
+  obs::ProgressMeter meter("eliminate", space.size());
+  // Chunks own whole bitmap words: each chunk clears the frontier words it
+  // has expanded while other chunks set bits in the next map.
+  grain = (grain + 63) & ~std::uint64_t{63};
+  const std::size_t chunks = chunk_count(space.size(), grain);
+  const std::size_t words = static_cast<std::size_t>((space.size() + 63) / 64);
+  auto in_region = [&](std::uint8_t f) {
+    return (f & detail::kFlagT) != 0 && (f & detail::kFlagS) == 0;
+  };
+
+  std::vector<std::uint16_t> indegree(space.size(), 0);
+  std::atomic<bool> bail{false};
+  struct RegionCounts {
+    std::uint64_t states = 0;
+    std::uint64_t transitions = 0;
+  };
+  std::vector<RegionCounts> region(chunks);
+  parallel_for_chunked(
+      pool, 0, space.size(), grain,
+      [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi, unsigned) {
+        obs::Span chunk_span("sweep.eliminate.chunk",
+                             &sweep_chunk_histogram());
+        ProgramSuccessors succ(space, actions);
+        std::vector<std::uint64_t> out;
+        OdometerCursor cur(space, lo);
+        RegionCounts c;
+        for (std::uint64_t code = lo; code < hi; ++code) {
+          if (in_region(flags[code])) {
+            if (bail.load(std::memory_order_relaxed)) return;
+            succ.successors_of(cur.state(), out);
+            if (out.empty()) {  // a ¬S deadlock
+              bail.store(true, std::memory_order_relaxed);
+              return;
+            }
+            ++c.states;
+            c.transitions += out.size();
+            for (const std::uint64_t next : out) {
+              const std::uint8_t f = flags[next];
+              if ((f & detail::kFlagS) != 0) continue;
+              // Leaving T ∪ S widens the DFS region past T ∧ ¬S; a wrapped
+              // counter would lose predecessors.
+              if ((f & detail::kFlagT) == 0 ||
+                  std::atomic_ref<std::uint16_t>(indegree[next])
+                          .fetch_add(1, std::memory_order_relaxed) ==
+                      std::numeric_limits<std::uint16_t>::max()) {
+                bail.store(true, std::memory_order_relaxed);
+                return;
+              }
+            }
+          }
+          if (code + 1 < hi) cur.advance();
+        }
+        region[chunk] = c;
+        meter.add(hi - lo);
+      });
+  if (bail.load(std::memory_order_relaxed)) return std::nullopt;
+  for (const RegionCounts& c : region) {
+    report.region_states += c.states;
+    report.transitions += c.transitions;
+  }
+
+  // Round 0: the region states no region state leads to.
+  std::vector<std::uint64_t> frontier(words, 0);
+  std::vector<std::uint64_t> next_frontier(words, 0);
+  std::vector<std::uint64_t> added(chunks, 0);
+  parallel_for_chunked(
+      pool, 0, space.size(), grain,
+      [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi, unsigned) {
+        std::uint64_t n = 0;
+        for (std::uint64_t code = lo; code < hi; ++code) {
+          if (indegree[code] == 0 && in_region(flags[code])) {
+            frontier[code >> 6] |= std::uint64_t{1} << (code & 63);
+            ++n;
+          }
+        }
+        added[chunk] = n;
+      });
+  // A round visits only the chunks whose frontier words hold a bit, so it
+  // costs its own states, not the code range: a long path to S through a
+  // narrow region stays O(region + rounds), and a round within one chunk
+  // runs inline without a pool dispatch.
+  std::vector<std::size_t> active;
+  std::uint64_t level_size = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (added[c] > 0) active.push_back(c);
+    level_size += added[c];
+  }
+  added = {};
+
+  struct Visit {
+    std::uint64_t freed = 0;
+    bool to_S = false;
+    std::vector<std::size_t> woken;  // chunks this visit first gave a bit
+  };
+  std::vector<Visit> visits;
+  std::vector<std::uint8_t> woken(chunks, 0);
+  std::uint64_t removed = 0;
+  std::uint64_t rounds = 0;
+  for (; !active.empty(); ++rounds) {
+    removed += level_size;
+    visits.assign(active.size(), Visit{});
+    parallel_for_chunked(
+        pool, 0, active.size(), 1,
+        [&](std::size_t i, std::uint64_t, std::uint64_t, unsigned) {
+          obs::Span chunk_span("sweep.eliminate.chunk",
+                               &sweep_chunk_histogram());
+          const std::uint64_t lo = std::uint64_t{active[i]} * grain;
+          const std::uint64_t hi = std::min(space.size(), lo + grain);
+          ProgramSuccessors succ(space, actions);
+          std::vector<std::uint64_t> out;
+          Visit visit;
+          for (std::size_t w = static_cast<std::size_t>(lo >> 6);
+               w < static_cast<std::size_t>((hi + 63) >> 6); ++w) {
+            for (std::uint64_t bits = frontier[w]; bits != 0;
+                 bits &= bits - 1) {
+              const std::uint64_t code =
+                  (std::uint64_t{w} << 6) +
+                  static_cast<std::uint64_t>(std::countr_zero(bits));
+              succ.successors(code, out);
+              for (const std::uint64_t next : out) {
+                if ((flags[next] & detail::kFlagS) != 0) {
+                  visit.to_S = true;
+                  continue;
+                }
+                if (std::atomic_ref<std::uint16_t>(indegree[next])
+                        .fetch_sub(1, std::memory_order_relaxed) != 1) {
+                  continue;
+                }
+                std::atomic_ref<std::uint64_t>(next_frontier[next >> 6])
+                    .fetch_or(std::uint64_t{1} << (next & 63),
+                              std::memory_order_relaxed);
+                ++visit.freed;
+                const std::size_t c = static_cast<std::size_t>(next / grain);
+                if (std::atomic_ref<std::uint8_t>(woken[c]).exchange(
+                        1, std::memory_order_relaxed) == 0) {
+                  visit.woken.push_back(c);
+                }
+              }
+            }
+            frontier[w] = 0;
+          }
+          visits[i] = std::move(visit);
+        });
+    active.clear();
+    level_size = 0;
+    for (const Visit& v : visits) {
+      level_size += v.freed;
+      if (v.to_S) report.max_steps_to_S = rounds + 1;
+      active.insert(active.end(), v.woken.begin(), v.woken.end());
+    }
+    for (const std::size_t c : active) woken[c] = 0;
+    std::sort(active.begin(), active.end());  // code order, for locality
+    frontier.swap(next_frontier);
+  }
+  if (obs::Metrics::enabled()) {
+    obs::Registry::instance().counter("store.eliminate.rounds").add(rounds);
+  }
+  if (removed != report.region_states) return std::nullopt;  // a cycle
+  report.verdict = ConvergenceVerdict::kConverges;
+  return report;
+}
+
+/// The elimination's fast path when the pool has more than one worker.
+/// Serially it expands every region state twice where the DFS or Tarjan
+/// expands it once, and it lost on the 9^7 rings at one worker (wall time
+/// of the whole check, min of 4 alternating runs, 4-vCPU host: spec ring
+/// unfair 3.43 s against 3.26 s for the DFS, weakly fair 3.30 s against
+/// 2.63 s for Tarjan; the hand-coded ring unfair 2.15-2.42 s against
+/// 1.66-2.13 s), so one worker keeps the serial pass. Counts a fallback when
+/// it bails; on success adds the region to states_explored, as the DFS or
+/// Tarjan meter would have.
+std::optional<ConvergenceReport> try_eliminate(
+    ThreadPool& pool, const StateSpace& space, const TwoBitArray& flags,
+    const std::vector<std::size_t>& actions, const StoreConfig& config,
+    const ConvergenceReport& report) {
+  if (pool.size() <= 1) return std::nullopt;
+  std::optional<ConvergenceReport> result = eliminate_region(
+      pool, space, flags, actions, aligned_grain(config), report);
+  if (obs::Metrics::enabled()) {
+    obs::Registry& registry = obs::Registry::instance();
+    if (result) {
+      registry.counter("states_explored").add(result->region_states);
+    } else {
+      registry.counter("store.eliminate.fallbacks").add(1);
+    }
+  }
+  return result;
+}
+
 /// Thrown by the u16 bookkeeping when a convergence distance exceeds its
 /// width; the caller restarts the identical traversal with u32 distances.
 struct DistanceOverflow {};
@@ -359,6 +572,11 @@ ConvergenceReport check_convergence_store(const StateSpace& space,
     return detail::check_convergence_core_impl(space, flags, succ,
                                                std::move(report), bk);
   }
+  if (std::optional<ConvergenceReport> fast =
+          try_eliminate(pool, space, flags, actions, config, report)) {
+    detail::record_convergence_metrics(*fast);
+    return *fast;
+  }
 
   // First pass with 16-bit distances (~5 bytes/state total). Convergence
   // spans beyond 65535 steps are possible in principle, so on overflow the
@@ -397,6 +615,19 @@ ConvergenceReport check_convergence_weakly_fair_store(
     detail::DenseTarjanBookkeeping bk(space.size());
     return detail::check_convergence_weakly_fair_core_impl(
         space, flags, succ, actions, std::move(report), bk);
+  }
+  if (std::optional<ConvergenceReport> fast =
+          try_eliminate(pool, space, flags, actions, config, report)) {
+    // Tarjan leaves the worst case at 0, and every state of an acyclic
+    // region is its own component.
+    fast->max_steps_to_S = 0;
+    if (obs::Metrics::enabled()) {
+      obs::Registry::instance()
+          .counter("checker.scc.components")
+          .add(fast->region_states);
+    }
+    detail::record_convergence_metrics(*fast);
+    return *fast;
   }
   ProgramSuccessors succ(space, actions);
   CompactTarjanBookkeeping bk(space.size());

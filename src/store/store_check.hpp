@@ -9,7 +9,11 @@
 // their successor source and DFS/SCC bookkeeping:
 //   kStore        on-the-fly successors; 2-bit colors, distances starting
 //                 at 16 bits (widened transparently past 65535 steps), and
-//                 compact Tarjan arrays;
+//                 compact Tarjan arrays. With more than one worker both
+//                 convergence checks first run a parallel in-degree
+//                 elimination over T ∧ ¬S, which decides a converging
+//                 design without the serial pass and falls back to it on
+//                 a deadlock, a cycle, or a successor outside T ∪ S;
 //   kLegacyDense  a chunk-parallel precomputed CSR adjacency (the fastest
 //                 source at nproc threads, at 8+ bytes per code) and the
 //                 dense per-code bookkeeping of the serial checker.
@@ -41,16 +45,19 @@ ClosureReport check_closed_store(const StateSpace& space,
                                  const StoreConfig& config);
 
 /// Unfair-daemon convergence: parallel flag pass into a TwoBitArray, then
-/// the shared DFS core (checker/convergence_core.hpp). Under kStore the
-/// core runs over 2-bit colors, narrow distances, and a sparse on-stack map
-/// (~5 bytes/state instead of ~13); under kLegacyDense over the CSR
-/// adjacency and dense bookkeeping.
+/// the shared DFS core (checker/convergence_core.hpp). Under kStore with
+/// more than one worker a parallel elimination runs first and the DFS only
+/// when it bails; the DFS runs over 2-bit colors, narrow distances, and a
+/// sparse on-stack map (~5 bytes/state instead of ~13). Under kLegacyDense
+/// it runs over the CSR adjacency and dense bookkeeping.
 ConvergenceReport check_convergence_store(const StateSpace& space,
                                           const PredicateFn& S,
                                           const PredicateFn& T,
                                           const StoreConfig& config);
 
 /// Weakly-fair convergence (Tarjan/SCC + fair-escape analysis). Under
+/// kStore with more than one worker the same elimination runs first: a
+/// region it clears has no cycle, so Tarjan is skipped. Otherwise, under
 /// kStore the bookkeeping is store-native: the visit index lives in a
 /// stamped u32 array over the code range, lowlinks in slab-grown arenas
 /// indexed by dense visit id, on-stack marks in one bit per state, and SCC

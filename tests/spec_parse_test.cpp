@@ -2,7 +2,11 @@
 // total `/`-and-`%`-by-zero semantics), schema validation with
 // field-precise paths and lines, and compile-time expansion semantics
 // (per-process families, {j} names, group interleaving, derived reads).
+#include <algorithm>
+#include <chrono>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,7 +16,9 @@
 #include "core/program.hpp"
 #include "spec/compile.hpp"
 #include "spec/expr.hpp"
+#include "spec/job.hpp"
 #include "spec/spec.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 namespace {
@@ -423,6 +429,108 @@ TEST(SpecCompileTest, RejectsOutOfRangeConstraintId) {
     ]
   })";
   EXPECT_THROW(compile_spec_text(text), SpecError);
+}
+
+std::string read_spec_file(const std::string& name) {
+  std::ifstream in(std::string(NONMASK_SPECS_DIR) + "/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The shipped token-ring campaign spec with its ring resized to n.
+std::string token_ring_text(int n) {
+  std::string text = read_spec_file("token_ring_campaign.json");
+  const std::string from = "\"n\": 4";
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos);
+  text.replace(at, from.size(), "\"n\": " + std::to_string(n));
+  return text;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Variable lookups during compilation are O(1): a ring 4x larger compiles
+// in well under 16x the time (linear growth gives about 4x).
+TEST(SpecCompileTest, CompileTimeGrowsLinearlyWithRingSize) {
+  auto best_of_3 = [](const std::string& text) {
+    double best = 1e9;
+    for (int i = 0; i < 3; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const CompiledSpec spec = compile_spec_text(text);
+      best = std::min(best, seconds_since(t0));
+      EXPECT_GT(spec.design.program.num_variables(), 0u);
+    }
+    return best;
+  };
+  const double small = best_of_3(token_ring_text(8192));
+  const double large = best_of_3(token_ring_text(32768));
+  EXPECT_LT(large, 8 * small) << "8k ring " << small << " s, 32k ring "
+                              << large << " s";
+}
+
+/// The 9^7-style containment ring of jobbench, n = 6 processes, K values.
+std::string containment_ring_text(int k) {
+  return R"({
+    "schema": "nonmask-spec/1", "name": "ring-containment",
+    "params": {"K": )" + std::to_string(k) + R"(},
+    "topology": {"kind": "ring", "n": 6},
+    "variables": [{"name": "x", "per": "process", "min": "0", "max": "K - 1"}],
+    "constraints": [{"name": "agree.{j}", "per": "process", "where": "j > 0",
+                     "expr": "x[j] == x[j - 1]"}],
+    "actions": [
+      {"name": "advance@0", "kind": "closure", "guard": "x[0] == x[n - 1]",
+       "assign": {"x[0]": "(x[0] + 1) % K"}, "process": "0"},
+      {"name": "adopt@{j}", "kind": "closure", "per": "process",
+       "where": "j > 0", "guard": "x[j] != x[j - 1]",
+       "assign": {"x[j]": "x[j - 1]"}}],
+    "job": {"type": "containment", "byzantine": [1], "seed": 1, "threads": 2}
+  })";
+}
+
+// A job report's wall_ms runs from job start: for jobs long enough to time
+// (each job grows until the call takes 20 ms), it covers at least half of
+// the externally timed call and never more.
+TEST(SpecJobTest, WallMsCoversTheJob) {
+  struct Timed {
+    double outside_ms = 0;
+    std::string report_json;
+  };
+  auto run_timed = [](const CompiledSpec& spec) {
+    const auto t0 = std::chrono::steady_clock::now();
+    spec::JobResult result = spec::run_spec_job(spec);
+    return Timed{seconds_since(t0) * 1e3, std::move(result.report_json)};
+  };
+  std::vector<Timed> runs;
+  CompiledSpec campaign = compile_spec_text(token_ring_text(16));
+  campaign.job.trials = 1000;
+  runs.push_back(run_timed(campaign));
+  while (runs.back().outside_ms < 20.0 &&
+         campaign.job.trials < (std::size_t{1} << 20)) {
+    campaign.job.trials *= 2;
+    runs.back() = run_timed(campaign);
+  }
+  int k = 7;
+  runs.push_back(run_timed(compile_spec_text(containment_ring_text(k))));
+  while (runs.back().outside_ms < 20.0 && k < 13) {
+    k += 2;
+    runs.back() = run_timed(compile_spec_text(containment_ring_text(k)));
+  }
+  for (const Timed& run : runs) {
+    if (run.outside_ms < 20.0) GTEST_SKIP() << "jobs too short to time";
+  }
+  for (const Timed& run : runs) {
+    const util::JsonValue report = util::parse_json(run.report_json);
+    const util::JsonValue* wall = report.find("wall_ms");
+    const util::JsonValue* tool = report.find("tool");
+    ASSERT_NE(wall, nullptr);
+    ASSERT_NE(tool, nullptr);
+    EXPECT_GE(wall->as_double(), 0.5 * run.outside_ms) << tool->string_value;
+    EXPECT_LE(wall->as_double(), run.outside_ms) << tool->string_value;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checker/closure_check.hpp"
@@ -19,7 +20,10 @@
 #include "checker/fault_span.hpp"
 #include "checker/state_space.hpp"
 #include "checker/variant.hpp"
+#include "core/builder.hpp"
 #include "core/candidate.hpp"
+#include "fuzz_designs.hpp"
+#include "obs/metrics.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/distributed_reset.hpp"
@@ -287,6 +291,211 @@ TEST_P(BackendEquivalenceTest, StateSpaceTooLargeAtExactBudget) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BackendEquivalenceTest,
+                         ::testing::Values(1u, 2u, 8u));
+
+// The store backend's parallel convergence elimination
+// (store/store_check.cpp): with more than one worker it decides converging
+// designs without the DFS or Tarjan pass, and falls back to them, from
+// scratch, on a deadlock, a cycle, or a successor outside T ∪ S. Either way
+// the report and the counters a report shows must be the serial checker's.
+class ConvergenceEliminationTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override {
+    obs::Metrics::set_enabled(true);
+    obs::Registry::instance().reset();
+  }
+  void TearDown() override {
+    obs::Registry::instance().reset();
+    obs::Metrics::set_enabled(false);
+  }
+
+  /// Which path the store run took.
+  struct Path {
+    std::uint64_t rounds = 0;
+    std::uint64_t fallbacks = 0;
+  };
+
+  /// Run the serial check and the store check under fresh counters, expect
+  /// equal reports and equal shared counters, and return the store run's
+  /// elimination counters.
+  Path compare_with_serial(const StateSpace& space, const PredicateFn& S,
+                           const PredicateFn& T, bool fair,
+                           const std::string& ctx) {
+    auto& registry = obs::Registry::instance();
+    auto shared_counters = [&registry] {
+      std::vector<std::uint64_t> values;
+      for (const char* name :
+           {"states_explored", "checker.convergence.checks",
+            "checker.convergence.region_states",
+            "checker.convergence.transitions", "checker.scc.components"}) {
+        values.push_back(registry.counter(name).value());
+      }
+      return values;
+    };
+    registry.reset();
+    const ConvergenceReport serial =
+        fair ? check_convergence_weakly_fair(space, S, T)
+             : check_convergence(space, S, T);
+    const std::vector<std::uint64_t> serial_counters = shared_counters();
+
+    registry.reset();
+    const store::StoreConfig cfg =
+        config_for(store::StoreBackend::kStore, GetParam());
+    const ConvergenceReport via =
+        fair ? store::check_convergence_weakly_fair_via(cfg, space, S, T)
+             : store::check_convergence_via(cfg, space, S, T);
+    expect_same_convergence(serial, via, ctx);
+    EXPECT_EQ(serial_counters, shared_counters()) << ctx << " counters";
+    return {registry.counter("store.eliminate.rounds").value(),
+            registry.counter("store.eliminate.fallbacks").value()};
+  }
+
+  bool parallel() const { return GetParam() > 1; }
+
+  std::string label(const std::string& design, bool fair) const {
+    return design + (fair ? " fair" : " unfair") + " @" +
+           std::to_string(GetParam()) + "t";
+  }
+};
+
+// (a) Every converging equivalence design takes the fast path, including
+// the long worst cases of diffusing-chain and bounded-ring; with one worker
+// the elimination never runs.
+TEST_P(ConvergenceEliminationTest, ConvergingDesignsTakeTheFastPath) {
+  int converging = 0;
+  for (const auto& c : equivalence_cases()) {
+    const StateSpace space(c.design.program);
+    const PredicateFn S = c.design.S();
+    const PredicateFn T = c.design.T();
+    if (check_convergence(space, S, T).verdict !=
+        ConvergenceVerdict::kConverges) {
+      continue;
+    }
+    ++converging;
+    for (const bool fair : {false, true}) {
+      const std::string ctx = label(c.label, fair);
+      const Path path = compare_with_serial(space, S, T, fair, ctx);
+      EXPECT_EQ(path.fallbacks, 0u) << ctx;
+      if (parallel()) {
+        EXPECT_GT(path.rounds, 0u) << ctx;
+      } else {
+        EXPECT_EQ(path.rounds, 0u) << ctx;
+      }
+    }
+  }
+  EXPECT_EQ(converging, 9);
+}
+
+// A 128-state design over x in [0, 7] and an idle y in [0, 15] (two chunks
+// at grain 64), with S = {x == 0}, T = {x <= t_max}, and one action
+// x == from -> x := to per listed move.
+struct BailCase {
+  std::string label;
+  std::vector<std::pair<Value, Value>> moves;
+  Value t_max = 7;
+};
+
+// (b) Each bail-out reason falls back exactly once, and the fallback's
+// report is the serial one: a ¬S deadlock; a successor leaving T, once
+// into a converging detour and once while the states left in T form a
+// cycle that an elimination counting the detour would balance out; a
+// singleton self-loop (which fairness rescues: x := 4 leaves it); the
+// livelock of the broken running example; and the fairness-rescued
+// distributed reset.
+TEST_P(ConvergenceEliminationTest, EachBailOutFallsBackOnce) {
+  const std::vector<BailCase> cases = {
+      {"deadlock", {{2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}, {7, 6}}},
+      {"leaves-T",
+       {{1, 5}, {2, 6}, {3, 7}, {4, 0}, {5, 0}, {6, 0}, {7, 0}},
+       3},
+      {"leaves-T-cycle",
+       {{3, 6}, {3, 7}, {2, 1}, {1, 2}, {4, 0}, {5, 0}, {6, 0}, {7, 0}},
+       3},
+      {"self-loop",
+       {{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}, {5, 5}, {6, 5}, {7, 6}}},
+  };
+  auto check = [&](const std::string& design, const StateSpace& space,
+                   const PredicateFn& S, const PredicateFn& T, bool fair) {
+    const std::string ctx = label(design, fair);
+    const Path path = compare_with_serial(space, S, T, fair, ctx);
+    EXPECT_EQ(path.fallbacks, parallel() ? 1u : 0u) << ctx;
+  };
+  for (const BailCase& c : cases) {
+    ProgramBuilder b(c.label);
+    const VarId x = b.var("x", 0, 7);
+    b.var("y", 0, 15);
+    for (const auto& [from, to] : c.moves) {
+      b.closure(
+          std::to_string(from) + "->" + std::to_string(to),
+          [x, from = from](const State& s) { return s.get(x) == from; },
+          [x, to = to](State& s) { s.set(x, to); }, {x}, {x});
+    }
+    const Program program = b.build();
+    const StateSpace space(program);
+    const PredicateFn S = [x](const State& s) { return s.get(x) == 0; };
+    const Value t_max = c.t_max;
+    const PredicateFn T = [x, t_max](const State& s) {
+      return s.get(x) <= t_max;
+    };
+    for (const bool fair : {false, true}) check(c.label, space, S, T, fair);
+  }
+  const Design broken =
+      make_running_example(RunningExampleVariant::kWriteXBoth);
+  const StateSpace broken_space(broken.program);
+  check("running-example-broken", broken_space, broken.S(), broken.T(), false);
+  const Design reset =
+      make_distributed_reset(RootedTree::balanced(3, 2), 2, true).design;
+  const StateSpace reset_space(reset.program);
+  check("distributed-reset", reset_space, reset.S(), reset.T(), true);
+}
+
+// (d) Differential oracle: on the random copy-tree designs of
+// FuzzSoundnessTest every field matches the serial checker, and the
+// elimination decides exactly the designs that converge without fairness
+// (T is true there, so the region never leaves T).
+TEST_P(ConvergenceEliminationTest, FuzzedDesignsMatchSerial) {
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    const auto fc = testing_support::make_fuzz_case(seed);
+    const StateSpace space(fc.design.program);
+    const PredicateFn S = fc.design.S();
+    const PredicateFn T = fc.design.T();
+    const bool converges = check_convergence(space, S, T).verdict ==
+                           ConvergenceVerdict::kConverges;
+    for (const bool fair : {false, true}) {
+      const std::string ctx = label(fc.design.name, fair);
+      const Path path = compare_with_serial(space, S, T, fair, ctx);
+      EXPECT_EQ(path.fallbacks, parallel() && !converges ? 1u : 0u) << ctx;
+    }
+  }
+}
+
+// A long path through a narrow region: x counts up to 299 (S) while an
+// idle y in [0, 63] stays 0 (T), so the region is 299 states on one path
+// spread over 300 chunks of a 19200-code space. Each elimination round
+// frees one state in another chunk; the worst case is the whole path.
+TEST_P(ConvergenceEliminationTest, LongPathThroughNarrowRegion) {
+  constexpr Value kTop = 299;
+  ProgramBuilder b("counter");
+  const VarId x = b.var("x", 0, kTop);
+  const VarId y = b.var("y", 0, 63);
+  b.closure(
+      "inc", [x](const State& s) { return s.get(x) < kTop; },
+      [x](State& s) { s.set(x, s.get(x) + 1); }, {x}, {x});
+  const Program program = b.build();
+  const StateSpace space(program);
+  const PredicateFn S = [x](const State& s) { return s.get(x) == kTop; };
+  const PredicateFn T = [y](const State& s) { return s.get(y) == 0; };
+  for (const bool fair : {false, true}) {
+    const std::string ctx = label("counter", fair);
+    const Path path = compare_with_serial(space, S, T, fair, ctx);
+    EXPECT_EQ(path.fallbacks, 0u) << ctx;
+    EXPECT_EQ(path.rounds, parallel() ? std::uint64_t{kTop} : 0u) << ctx;
+  }
+  EXPECT_EQ(check_convergence(space, S, T).max_steps_to_S,
+            std::uint64_t{kTop});
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ConvergenceEliminationTest,
                          ::testing::Values(1u, 2u, 8u));
 
 }  // namespace

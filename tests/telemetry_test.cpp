@@ -308,7 +308,6 @@ TEST(TelemetryTest, JsonlSinkWritesOneObjectPerHeartbeat) {
   ASSERT_TRUE(in.good());
   std::string line;
   std::size_t lines = 0;
-  std::uint64_t prev_seq = 0;
   while (std::getline(in, line)) {
     ASSERT_FALSE(line.empty());
     EXPECT_EQ(line.front(), '{');
